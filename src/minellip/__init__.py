@@ -20,9 +20,9 @@ from .ellipsoid import (
 )
 from .errors import ConfigError, ToolkitError
 from .gainsynth import DesignResult, consensus_feasible, design_gain, optimize_gain
-from .graph import LaplacianPair, Topology, build_laplacian, has_spanning_tree, spectrum_relation_check
-from .matkit import SpectrumSummary, are_solve, eig_sym, is_pd, is_psd, kron, lyap_solve, spectrum
-from .protocol import PlantModel, closed_loop, control_inputs, error_rhs, stacked_control
+from .graph import LaplacianPair, Topology, build_laplacian, has_spanning_tree
+from .matkit import SpectrumSummary, are_solve, eig_sym, is_pd, lyap_solve, spectrum
+from .protocol import PlantModel, closed_loop
 from .sim import DisturbanceSpec, ErrorMetrics, Trajectory, make_disturbance, metrics, simulate
 
 __version__ = "0.1.0"
@@ -46,17 +46,13 @@ __all__ = [
     "check_invariant",
     "closed_loop",
     "consensus_feasible",
-    "control_inputs",
     "design_gain",
     "eig_sym",
-    "error_rhs",
     "family_solution",
     "find_beta",
     "has_spanning_tree",
     "invariance_block",
     "is_pd",
-    "is_psd",
-    "kron",
     "lyap_solve",
     "make_disturbance",
     "metrics",
@@ -64,7 +60,5 @@ __all__ = [
     "optimize_gain",
     "simulate",
     "spectrum",
-    "spectrum_relation_check",
-    "stacked_control",
     "worst_disturbance",
 ]

@@ -56,17 +56,16 @@ def _apply_overrides(cfg, args) -> None:
         raise ConfigError("overrides must keep dt > 0 and t_final >= dt")
 
 
-def _gain_of(cfg):
-    if cfg.gain is not None:
-        return cfg.gain, None
-    lp = build_laplacian(cfg.topology)
-    design = optimize_gain(
-        cfg.plant,
-        lp,
-        gamma_grid=cfg.synthesize.get("gamma_grid") if cfg.synthesize else None,
-        q0=cfg.synthesize.get("q0") if cfg.synthesize else None,
+def _design(cfg):
+    syn = cfg.synthesize or {}
+    return optimize_gain(
+        cfg.plant, build_laplacian(cfg.topology),
+        gamma_grid=syn.get("gamma_grid"), q0=syn.get("q0"),
     )
-    return design.K, design
+
+
+def _gain_of(cfg):
+    return cfg.gain if cfg.gain is not None else _design(cfg).K
 
 
 def _write_report(path: Path, lines) -> None:
@@ -151,7 +150,7 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_minimize(cfg, args) -> int:
     out = _out_dir(cfg, args)
-    k, _ = _gain_of(cfg)
+    k = _gain_of(cfg)
     lp = build_laplacian(cfg.topology)
     result = minimize_trace(cfg.plant, lp, k)
     prefix = cfg.output.file_prefix
@@ -193,7 +192,7 @@ def _csv_header(n: int, m: int, p: int, n_followers: int, with_v: bool) -> list[
 def cmd_simulate(cfg, args) -> int:
     out = _out_dir(cfg, args)
     _apply_overrides(cfg, args)
-    k, _ = _gain_of(cfg)
+    k = _gain_of(cfg)
     lp = build_laplacian(cfg.topology)
     kind = cfg.disturbance["kind"]
 
@@ -269,13 +268,7 @@ def cmd_simulate(cfg, args) -> int:
 
 def cmd_design(cfg, args) -> int:
     out = _out_dir(cfg, args)
-    lp = build_laplacian(cfg.topology)
-    design = optimize_gain(
-        cfg.plant,
-        lp,
-        gamma_grid=cfg.synthesize.get("gamma_grid") if cfg.synthesize else None,
-        q0=cfg.synthesize.get("q0") if cfg.synthesize else None,
-    )
+    design = _design(cfg)
     prefix = cfg.output.file_prefix
     summary = {
         "K": design.K.tolist(),

@@ -88,8 +88,28 @@ def check_invariant(
     return InvarianceCertificate(beta=float(beta), max_eig=max_eig, feasible=max_eig <= tol)
 
 
-def _schur_max_eig(m0: np.ndarray, P: np.ndarray, pgp: np.ndarray, beta: float) -> float:
-    return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
+def _log_golden_min(f, lo: float, hi: float, n_grid: int, rtol: float) -> float:
+    """Minimizer of a unimodal ``f`` on ``[lo, hi]``, ``0 < lo``: a geometric
+    grid of ``n_grid`` points brackets the best point, then golden-section
+    search in log beta narrows the bracket to relative width ``rtol``, which
+    means the same at any scale of the data."""
+    grid = np.geomspace(lo, hi, n_grid)
+    i = int(np.argmin([f(b) for b in grid]))
+    a = np.log(grid[max(i - 1, 0)])
+    b = np.log(grid[min(i + 1, n_grid - 1)])
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(float(np.exp(c))), f(float(np.exp(d)))
+    while (b - a) > max(rtol, 1e-12):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(float(np.exp(c)))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(float(np.exp(d)))
+    return float(np.exp(0.5 * (a + b)))
 
 
 def find_beta(
@@ -111,37 +131,39 @@ def find_beta(
     pgp = P @ g @ P
     pgp = 0.5 * (pgp + pgp.T)
 
-    grid = np.geomspace(1e-8, 1e8, 65)
-    values = [_schur_max_eig(m0, P, pgp, b) for b in grid]
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    def schur_max_eig(beta: float) -> float:
+        return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
 
-    # Golden-section in log space: unimodality survives the monotone reparam.
-    a, b = np.log(lo), np.log(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _schur_max_eig(m0, P, pgp, float(np.exp(c)))
-    fd = _schur_max_eig(m0, P, pgp, float(np.exp(d)))
-    while (b - a) > max(tol, 1e-12):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _schur_max_eig(m0, P, pgp, float(np.exp(c)))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _schur_max_eig(m0, P, pgp, float(np.exp(d)))
-    beta = float(np.exp(0.5 * (a + b)))
+    beta = _log_golden_min(schur_max_eig, 1e-8, 1e8, 65, tol)
     cert = check_invariant(plant, lp, k, P, beta)
     return beta if cert.feasible else None
 
 
+def _family_setup(plant: PlantModel, lp: LaplacianPair, k):
+    """Closed loop, disturbance Gramian and ``beta_max = -2 abscissa(A_cl)``;
+    raises ``NotHurwitzError`` unless A_cl is Hurwitz."""
+    a_cl = closed_loop(plant, lp, k)
+    abscissa = matkit.spectrum(a_cl).spectral_abscissa
+    if abscissa >= 0.0:
+        raise NotHurwitzError(f"closed loop has spectral abscissa {abscissa:.3e} >= 0")
+    return a_cl, _disturbance_gramian_rhs(plant, lp.L_tilde.shape[0]), -2.0 * abscissa
+
+
 def _family_raw(a_cl: np.ndarray, g: np.ndarray, beta: float, reg: float = 0.0) -> np.ndarray:
-    n = a_cl.shape[0]
-    shifted = a_cl + 0.5 * beta * np.eye(n)
-    rhs = (g + reg * np.eye(n)) / beta
-    return matkit.lyap_solve(shifted, rhs)
+    eye = np.eye(a_cl.shape[0])
+    return matkit.lyap_solve(a_cl + 0.5 * beta * eye, (g + reg * eye) / beta)
+
+
+def _family_at(a_cl: np.ndarray, g: np.ndarray, beta: float) -> np.ndarray:
+    x = _family_raw(a_cl, g, beta)
+    w = np.linalg.eigvalsh(x)
+    if w.min() <= 1e-10 * max(w.max(), 1e-300):
+        # Error directions unreachable from the shared disturbance make the
+        # Gramian singular; a tiny isotropic widening keeps X invertible and
+        # the resulting certificate strictly feasible.
+        reg = 1e-8 * max(float(np.linalg.eigvalsh(g).max()), 1e-30)
+        x = _family_raw(a_cl, g, beta, reg=reg)
+    return x
 
 
 def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.ndarray:
@@ -154,23 +176,10 @@ def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.
     ``P = X^{-1}`` then satisfies the invariance block test with equality of
     its Schur complement.
     """
-    a_cl = closed_loop(plant, lp, k)
-    abscissa = matkit.spectrum(a_cl).spectral_abscissa
-    if abscissa >= 0.0:
-        raise NotHurwitzError(f"closed loop has spectral abscissa {abscissa:.3e} >= 0")
-    beta_max = -2.0 * abscissa
+    a_cl, g, beta_max = _family_setup(plant, lp, k)
     if not 0.0 < beta < beta_max:
         raise BetaOutOfRangeError(f"beta must lie in (0, {beta_max:.6g}), got {beta}")
-    g = _disturbance_gramian_rhs(plant, lp.L_tilde.shape[0])
-    x = _family_raw(a_cl, g, beta)
-    w = np.linalg.eigvalsh(x)
-    if w.min() <= 1e-10 * max(w.max(), 1e-300):
-        # Error directions unreachable from the shared disturbance make the
-        # Gramian singular; a tiny isotropic widening keeps X invertible and
-        # the resulting certificate strictly feasible.
-        reg = 1e-8 * max(float(np.linalg.eigvalsh(g).max()), 1e-30)
-        x = _family_raw(a_cl, g, beta, reg=reg)
-    return x
+    return _family_at(a_cl, g, beta)
 
 
 def minimize_trace(
@@ -180,44 +189,20 @@ def minimize_trace(
     ``P = X^{-1}``) over the one-parameter equality family.
 
     A 50-point log-spaced pre-scan of ``(0, beta_max)`` brackets the
-    minimizer and golden-section search narrows it to width ``tol``. The
-    trace along the family is convex, so the bracket is reliable.
+    minimizer and golden-section search in log beta narrows it to relative
+    width ``tol``. The trace along the family is convex, so the bracket is
+    reliable.
     """
-    a_cl = closed_loop(plant, lp, k)
-    abscissa = matkit.spectrum(a_cl).spectral_abscissa
-    if abscissa >= 0.0:
-        raise NotHurwitzError(f"closed loop has spectral abscissa {abscissa:.3e} >= 0")
-    beta_max = -2.0 * abscissa
-    g = _disturbance_gramian_rhs(plant, lp.L_tilde.shape[0])
-
-    def trace_at(beta: float) -> float:
-        return float(np.trace(_family_raw(a_cl, g, beta)))
-
-    grid = beta_max * np.geomspace(1e-6, 1.0 - 1e-6, 50)
-    values = [trace_at(b) for b in grid]
-    i = int(np.argmin(values))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = trace_at(c), trace_at(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = trace_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = trace_at(d)
-    beta_star = 0.5 * (a + b)
-
-    x_star = family_solution(plant, lp, k, beta_star)
+    a_cl, g, beta_max = _family_setup(plant, lp, k)
+    beta_star = _log_golden_min(
+        lambda beta: float(np.trace(_family_raw(a_cl, g, beta))),
+        1e-6 * beta_max, (1.0 - 1e-6) * beta_max, 50, tol,
+    )
+    x_star = _family_at(a_cl, g, beta_star)
     p_star = np.linalg.inv(x_star)
     p_star = 0.5 * (p_star + p_star.T)
     return MinimizationResult(
-        beta_star=float(beta_star),
+        beta_star=beta_star,
         X_star=x_star,
         P_star=p_star,
         trace_value=float(np.trace(x_star)),
@@ -228,28 +213,17 @@ def minimize_trace(
 def check_input_bound(
     lp: LaplacianPair, k, P, eta: float, tol: float | None = None
 ) -> bool:
-    """Input-norm certificate ``(L_tilde (x) K)^T (L_tilde (x) K) <= eta^2 P``.
-
-    Evaluated both directly and through the equivalent Schur-complement block
-    ``[[P, R^T], [R, eta^2 I]]`` with ``R = L_tilde (x) K``; both tests must
-    agree for the bound to be reported as satisfied.
-    """
+    """Input-norm certificate ``(L_tilde (x) K)^T (L_tilde (x) K) <= eta^2 P``,
+    tested as ``eta^2 P - R^T R >= 0`` with ``R = L_tilde (x) K``."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     P = matkit.check_symmetric(P, name="P")
     r = np.kron(lp.L_tilde, matkit.as_matrix(k, "K"))
-
     direct = eta**2 * P - r.T @ r
-    w_direct = np.linalg.eigvalsh(0.5 * (direct + direct.T))
-    tol_direct = 1e-7 * (1.0 + float(np.abs(w_direct).max())) if tol is None else tol
-    ok_direct = bool(w_direct.min() >= -tol_direct)
-
-    block = np.block([[P, r.T], [r, eta**2 * np.eye(r.shape[0])]])
-    w_block = np.linalg.eigvalsh(block)
-    tol_block = 1e-7 * (1.0 + float(np.abs(w_block).max())) if tol is None else tol
-    ok_block = bool(w_block.min() >= -tol_block)
-
-    return ok_direct and ok_block
+    w = np.linalg.eigvalsh(0.5 * (direct + direct.T))
+    if tol is None:
+        tol = 1e-7 * (1.0 + float(np.abs(w).max()))
+    return bool(w.min() >= -tol)
 
 
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:

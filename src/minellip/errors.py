@@ -65,3 +65,8 @@ class MissingEllipsoidError(ToolkitError):
 
 class DisturbanceBoundViolatedError(ToolkitError):
     """A disturbance sample exceeds the admissible quadratic bound."""
+
+
+class UnstableStepError(ToolkitError):
+    """The integration step lies outside the RK4 stability region of a
+    Hurwitz closed loop, so the simulated error would diverge."""

@@ -88,7 +88,8 @@ def optimize_gain(
     tol: float = 1e-8,
 ) -> DesignResult:
     """Sweep the gamma grid, keep input-feasible designs, return the one of
-    smallest ellipsoid trace (ties broken by smaller gamma).
+    smallest ellipsoid trace (ties broken by smaller gamma). ``tol`` is the
+    relative width in beta to which each trace minimization is narrowed.
 
     Raises ``NoFeasibleDesignError`` when every grid point violates the
     input bound, ``NoSpanningTreeError`` / ``NotStabilizableError`` when the

@@ -68,26 +68,10 @@ def build_laplacian(topology: Topology) -> LaplacianPair:
     return LaplacianPair(L=lap, L_tilde=lap[1:, 1:].copy())
 
 
-def _zero_tol(lap: np.ndarray, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return 1e-8 * max(1.0, float(np.linalg.norm(lap, "fro")))
-
-
 def has_spanning_tree(lp: LaplacianPair, tol: float | None = None) -> bool:
     """True when the graph has a spanning tree rooted at the leader,
     equivalently when L has exactly one zero eigenvalue."""
-    tol = _zero_tol(lp.L, tol)
+    if tol is None:
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(lp.L, "fro")))
     w = matkit.spectrum(lp.L).eigenvalues
     return int(np.count_nonzero(np.abs(w) <= tol)) == 1
-
-
-def spectrum_relation_check(lp: LaplacianPair, tol: float | None = None) -> bool:
-    """True when eig(L) equals eig(L_tilde) plus one zero, as multisets."""
-    tol = _zero_tol(lp.L, tol)
-    w_full = np.sort_complex(matkit.spectrum(lp.L).eigenvalues)
-    w_reduced = matkit.spectrum(lp.L_tilde).eigenvalues
-    expected = np.sort_complex(np.append(w_reduced, 0.0))
-    if w_full.shape != expected.shape:
-        return False
-    return bool(np.all(np.abs(w_full - expected) <= tol))

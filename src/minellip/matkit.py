@@ -58,23 +58,13 @@ class SpectrumSummary:
     spectral_abscissa: float
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two real matrices."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
-def eig_sym(s, tol: float = 1e-10, vectors: bool = False):
+def eig_sym(s, tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
-    With ``vectors=True`` also returns the orthonormal eigenvector matrix
-    ``V`` such that ``s = V diag(w) V.T``.  Raises ``NotSymmetricError``
-    when ``s`` is asymmetric beyond ``tol`` (relative).
+    Raises ``NotSymmetricError`` when ``s`` is asymmetric beyond ``tol``
+    (relative).
     """
-    s = check_symmetric(s, tol)
-    if vectors:
-        w, v = np.linalg.eigh(s)
-        return w, v
-    return np.linalg.eigvalsh(s)
+    return np.linalg.eigvalsh(check_symmetric(s, tol))
 
 
 def spectrum(m) -> SpectrumSummary:
@@ -254,13 +244,6 @@ def are_solve(a, b, q0, gamma: float, tol: float = 1e-9, max_iter: int = 60) -> 
     if spectrum(a - gamma * (b @ b.T) @ p).spectral_abscissa >= 0.0:
         raise NotStabilizableError("Riccati solution is not stabilizing")
     return 0.5 * (p + p.T)
-
-
-def is_psd(s, tol: float = DEFAULT_TOL) -> bool:
-    """True when the minimum eigenvalue of symmetric ``s`` is >= -tol * scale."""
-    w = eig_sym(s)
-    scale = 1.0 + float(np.abs(w).max())
-    return bool(w.min() >= -tol * scale)
 
 
 def is_pd(s, tol: float = DEFAULT_TOL) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matkit
 from .errors import DimensionMismatchError
-from .graph import LaplacianPair, Topology
+from .graph import LaplacianPair
 
 
 @dataclass(eq=False)
@@ -76,49 +76,3 @@ def closed_loop(plant: PlantModel, lp: LaplacianPair, k) -> np.ndarray:
     n_followers = lp.L_tilde.shape[0]
     return np.kron(np.eye(n_followers), plant.A) - np.kron(lp.L_tilde, plant.B @ k)
 
-
-def control_inputs(plant: PlantModel, topology: Topology, k, states, u0) -> np.ndarray:
-    """Per-follower protocol inputs from absolute states.
-
-    ``states`` stacks the leader state (row 0) and the N follower states;
-    row i of the result is ``K sum_j c_ij (sigma_j - sigma_i) + u0``.
-    """
-    k = check_gain(plant, k)
-    n_followers = topology.follower_count
-    states = np.asarray(states, dtype=float)
-    if states.shape != (n_followers + 1, plant.n):
-        raise DimensionMismatchError(
-            f"states must be {(n_followers + 1, plant.n)}, got {states.shape}"
-        )
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if u0.shape != (plant.m,):
-        raise DimensionMismatchError(f"u0 must have length {plant.m}, got {u0.shape}")
-    weights = topology.adjacency
-    out = np.empty((n_followers, plant.m))
-    for i in range(1, n_followers + 1):
-        consensus_term = (weights[i][:, None] * (states - states[i])).sum(axis=0)
-        out[i - 1] = k @ consensus_term + u0
-    return out
-
-
-def stacked_control(lp: LaplacianPair, k, e, u0) -> np.ndarray:
-    """Protocol inputs expressed through the stacked error:
-    ``u = -(L_tilde (x) K) e + 1_N (x) u0``."""
-    k = matkit.as_matrix(k, "K")
-    e = np.asarray(e, dtype=float).ravel()
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    n_followers = lp.L_tilde.shape[0]
-    return -np.kron(lp.L_tilde, k) @ e + np.tile(u0, n_followers)
-
-
-def error_rhs(plant: PlantModel, lp: LaplacianPair, k, e, omega) -> np.ndarray:
-    """Right-hand side of the stacked error dynamics,
-    ``(I_N (x) A - L_tilde (x) B K) e + 1_N (x) E omega``."""
-    e = np.asarray(e, dtype=float).ravel()
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    n_followers = lp.L_tilde.shape[0]
-    if e.shape != (n_followers * plant.n,):
-        raise DimensionMismatchError(f"e must have length {n_followers * plant.n}, got {e.shape}")
-    if omega.shape != (plant.p,):
-        raise DimensionMismatchError(f"omega must have length {plant.p}, got {omega.shape}")
-    return closed_loop(plant, lp, k) @ e + np.tile(plant.E @ omega, n_followers)

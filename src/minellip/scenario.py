@@ -173,49 +173,6 @@ def from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
-def to_dict(cfg: ScenarioConfig) -> dict:
-    """Canonical plain-python mapping, the inverse of :func:`from_dict`."""
-    data = {
-        "plant": {
-            "A": cfg.plant.A.tolist(),
-            "B": cfg.plant.B.tolist(),
-            "E": cfg.plant.E.tolist(),
-            "Q": cfg.plant.Q.tolist(),
-            "eta": float(cfg.plant.eta),
-        },
-        "topology": {
-            "followers": cfg.topology.follower_count,
-            "adjacency": cfg.topology.adjacency.tolist(),
-        },
-        "gain": {},
-        "disturbance": dict(cfg.disturbance),
-        "simulation": {
-            "x0": cfg.simulation.x0.tolist(),
-            "u0": cfg.simulation.u0.tolist(),
-            "t_final": float(cfg.simulation.t_final),
-            "dt": float(cfg.simulation.dt),
-            "window_fraction": float(cfg.simulation.window_fraction),
-        },
-        "output": {
-            "directory": cfg.output.directory,
-            "file_prefix": cfg.output.file_prefix,
-        },
-    }
-    if cfg.gain is not None:
-        data["gain"]["K"] = cfg.gain.tolist()
-    else:
-        syn = {}
-        if cfg.synthesize:
-            if "gamma_grid" in cfg.synthesize:
-                syn["gamma_grid"] = list(cfg.synthesize["gamma_grid"])
-            if "q0" in cfg.synthesize:
-                syn["q0"] = np.asarray(cfg.synthesize["q0"]).tolist()
-        data["gain"]["synthesize"] = syn
-    if cfg.ellipsoid_P is not None:
-        data["ellipsoid"] = {"P": cfg.ellipsoid_P.tolist()}
-    return data
-
-
 def load(path) -> ScenarioConfig:
     """Read and validate a scenario YAML file."""
     path = Path(path)
@@ -228,11 +185,6 @@ def load(path) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
     return from_dict(data)
-
-
-def save(cfg: ScenarioConfig, path) -> None:
-    """Serialize a scenario back to YAML."""
-    Path(path).write_text(yaml.safe_dump(to_dict(cfg), sort_keys=False))
 
 
 def bundled_path(name: str) -> Path:

@@ -15,13 +15,15 @@ from typing import Callable
 
 import numpy as np
 
+from . import matkit
 from .errors import (
     DimensionMismatchError,
     DisturbanceBoundViolatedError,
     MissingEllipsoidError,
+    UnstableStepError,
 )
 from .graph import Topology, build_laplacian
-from .protocol import PlantModel, check_gain
+from .protocol import PlantModel, check_gain, closed_loop
 
 #: Slack accepted when validating disturbance samples against the Q bound.
 BOUND_SLACK = 1e-9
@@ -178,6 +180,9 @@ def simulate(
         bound (``omega^T Q omega <= 1``) as they are drawn.
     P : optional (nN, nN) array
         When given, ``V = e^T P e`` is recorded alongside the trajectory.
+
+    Raises ``UnstableStepError`` when the error closed loop is Hurwitz but
+    ``dt`` lies outside its RK4 stability region.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -193,6 +198,14 @@ def simulate(
         )
     x0 = x0.reshape(n_followers + 1, n)
     lp = build_laplacian(topology)
+    # One RK4 step maps the undisturbed error by Phi = p(dt A_cl), with
+    # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so rho(Phi) = max |p(dt lambda)|.
+    spec = matkit.spectrum(closed_loop(plant, lp, k))
+    z = dt * spec.eigenvalues
+    rho = float(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))).max())
+    if spec.spectral_abscissa < 0.0 and rho >= 1.0:
+        raise UnstableStepError(f"dt={dt:g} is outside the RK4 stability region of the Hurwitz "
+                                f"error closed loop: step map spectral radius {rho:.6g} >= 1")
     full_matrix = np.kron(np.eye(n_followers + 1), plant.A) - np.kron(lp.L, plant.B @ k)
     input_map = np.tile(plant.B, (n_followers + 1, 1))
     dist_map = np.zeros(((n_followers + 1) * n, p_dim))

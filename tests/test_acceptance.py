@@ -18,7 +18,6 @@ from minellip import (
     consensus_feasible,
     eig_sym,
     invariance_block,
-    kron,
     lyap_solve,
     make_disturbance,
     metrics,
@@ -31,6 +30,7 @@ from minellip import (
 from minellip import PlantModel, scenario
 from minellip.errors import NoSpanningTreeError, NotStabilizableError
 from minellip.matkit import are_solve
+from reference import kron
 
 SQRT2 = np.sqrt(2.0)
 

@@ -16,31 +16,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def bundled_yaml(name):
+    return yaml.safe_load(scenario.bundled_path(name).read_text())
+
+
 def test_bundled_scenarios_parse():
     for name in ("paper_example1", "paper_example2", "paper_example3", "scalar_demo"):
         cfg = scenario.load_bundled(name)
         assert cfg.output.file_prefix == name
-
-
-def test_config_round_trip(tmp_path):
-    cfg = scenario.load_bundled("paper_example1")
-    saved = tmp_path / "roundtrip.yaml"
-    scenario.save(cfg, saved)
-    again = scenario.load(saved)
-    np.testing.assert_array_equal(cfg.plant.A, again.plant.A)
-    np.testing.assert_array_equal(cfg.plant.Q, again.plant.Q)
-    assert cfg.plant.eta == again.plant.eta
-    np.testing.assert_array_equal(cfg.topology.adjacency, again.topology.adjacency)
-    np.testing.assert_array_equal(cfg.gain, again.gain)
-    assert cfg.disturbance == again.disturbance
-    np.testing.assert_array_equal(cfg.simulation.x0, again.simulation.x0)
-    np.testing.assert_array_equal(cfg.simulation.u0, again.simulation.u0)
-    assert cfg.simulation.t_final == again.simulation.t_final
-    assert cfg.simulation.dt == again.simulation.dt
-    assert cfg.simulation.window_fraction == again.simulation.window_fraction
-    assert cfg.output.directory == again.output.directory
-    assert cfg.output.file_prefix == again.output.file_prefix
-    assert scenario.to_dict(cfg) == scenario.to_dict(again)
 
 
 def test_verify_paper_scenario_passes(outdir):
@@ -54,7 +37,7 @@ def test_verify_paper_scenario_passes(outdir):
 
 
 def test_verify_zero_gain_fails_hurwitz(tmp_path, outdir):
-    data = scenario.to_dict(scenario.load_bundled("paper_example1"))
+    data = bundled_yaml("paper_example1")
     data["gain"] = {"K": [[0.0, 0.0]]}
     path = tmp_path / "zero_gain.yaml"
     path.write_text(yaml.safe_dump(data))
@@ -64,7 +47,7 @@ def test_verify_zero_gain_fails_hurwitz(tmp_path, outdir):
 
 
 def test_malformed_matrix_exits_2(tmp_path, outdir):
-    data = scenario.to_dict(scenario.load_bundled("paper_example1"))
+    data = bundled_yaml("paper_example1")
     data["plant"]["A"] = [[0.0, 1.0], [0.0]]  # ragged row
     path = tmp_path / "broken.yaml"
     path.write_text(yaml.safe_dump(data))
@@ -86,12 +69,22 @@ def test_minimize_scalar_demo(outdir):
 
 
 def test_minimize_disconnected_exits_1(tmp_path, outdir):
-    data = scenario.to_dict(scenario.load_bundled("scalar_demo"))
+    data = bundled_yaml("scalar_demo")
     data["topology"]["adjacency"] = [[0.0, 0.0], [0.0, 0.0]]
     data["gain"] = {"synthesize": {}}
     path = tmp_path / "disconnected.yaml"
     path.write_text(yaml.safe_dump(data))
     assert run("minimize", "--config", path, "--out", outdir) == 1
+
+
+def test_simulate_unstable_step_exits_1(tmp_path, outdir):
+    data = bundled_yaml("paper_example1")
+    data["gain"]["K"] = [[466.001, 256.217]]
+    path = tmp_path / "fast_gain.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run("simulate", "--config", path, "--out", outdir,
+               "--t-final", "1.0", "--dt", "0.01") == 1
+    assert not (outdir / "paper_example1_trajectory.csv").exists()
 
 
 def test_simulate_csv_schema(outdir):
@@ -134,7 +127,7 @@ def test_simulate_paper_example_headers(outdir):
 
 
 def test_design_command(outdir, tmp_path):
-    data = scenario.to_dict(scenario.load_bundled("paper_example1"))
+    data = bundled_yaml("paper_example1")
     data["gain"] = {"synthesize": {"gamma_grid": [0.5, 1.0, 2.0]}}
     path = tmp_path / "design.yaml"
     path.write_text(yaml.safe_dump(data))

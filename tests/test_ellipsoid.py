@@ -163,12 +163,17 @@ def test_family_paper_system_spd_with_residual(paper_plant, fig1_laplacian, pape
 
 # --- trace minimization --------------------------------------------------
 
-def test_minimize_scalar_closed_form(scalar_plant, scalar_laplacian, scalar_gain):
-    res = minimize_trace(scalar_plant, scalar_laplacian, scalar_gain)
-    assert res.beta_star == pytest.approx(1.0, abs=1e-6)
-    assert res.trace_value == pytest.approx(1.0, abs=1e-8)
-    assert res.P_star[0, 0] == pytest.approx(1.0, abs=1e-8)
-    assert res.beta_max == pytest.approx(2.0, abs=1e-12)
+def test_minimize_scalar_closed_form(scalar_laplacian, scalar_gain):
+    # A = -a: tr X(beta) = 1 / (beta (2a - beta)), minimal at beta* = a with
+    # X* = 1/a^2; the answer must hold to the same relative accuracy at any a
+    for a in (1e-6, 1.0, 1e3):
+        plant = PlantModel(A=[[-a]], B=[[1.0]], E=[[1.0]], Q=[[1.0]], eta=10.0)
+        res = minimize_trace(plant, scalar_laplacian, scalar_gain)
+        assert res.beta_star / a == pytest.approx(1.0, abs=1e-6)
+        assert res.trace_value * a**2 == pytest.approx(1.0, abs=1e-8)
+        assert res.P_star[0, 0] / a**2 == pytest.approx(1.0, abs=1e-8)
+        assert res.beta_max / a == pytest.approx(2.0, abs=1e-12)
+        assert find_beta(plant, scalar_laplacian, scalar_gain, res.P_star) is not None
 
 
 def test_minimize_requires_hurwitz(paper_plant, fig1_laplacian):
@@ -242,6 +247,10 @@ def test_schur_and_direct_input_tests_agree(scalar_laplacian, fig1_laplacian):
         scale = 1.0 + abs(direct_min)
         if abs(direct_min) <= 1e-5 * scale:
             continue  # boundary case, verdict genuinely ambiguous
+        # Schur-complement form of the same bound: [[P, R^T], [R, eta^2 I]] >= 0
+        schur = np.block([[p, r.T], [r, eta**2 * np.eye(r.shape[0])]])
+        schur_min = np.linalg.eigvalsh(schur).min()
+        assert (schur_min > 0) == (direct_min > 0)
         assert check_input_bound(lp, k, p, eta) == (direct_min > 0)
         count += 1
 

@@ -6,10 +6,10 @@ from minellip import (
     build_laplacian,
     eig_sym,
     has_spanning_tree,
-    spectrum_relation_check,
 )
 from minellip.errors import InvalidTopologyError
 from minellip.graph import LaplacianPair
+from reference import spectrum_relation_check
 
 SQRT2 = np.sqrt(2.0)
 

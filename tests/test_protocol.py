@@ -6,14 +6,12 @@ from minellip import (
     Topology,
     build_laplacian,
     closed_loop,
-    control_inputs,
-    error_rhs,
     make_disturbance,
     simulate,
     spectrum,
-    stacked_control,
 )
 from minellip.errors import DimensionMismatchError
+from reference import control_inputs, error_rhs, stacked_control
 
 
 def random_instance(rng):

@@ -1,0 +1,21 @@
+"""The experiment scripts still run against the package's public names."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_scripts_run_against_public_names(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gamma_sweep.py", "paper_example1", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "gamma_sweep.py"), run_name="__main__")
+    assert exc.value.code is None
+    assert "selected: gamma=" in capsys.readouterr().out
+
+    monkeypatch.setattr(sys, "argv", ["run_paper_examples.py"])
+    module = runpy.run_path(str(SCRIPTS / "run_paper_examples.py"))
+    assert callable(module["main"])

@@ -13,6 +13,7 @@ from minellip.errors import (
     DisturbanceBoundViolatedError,
     DimensionMismatchError,
     MissingEllipsoidError,
+    UnstableStepError,
 )
 
 PAPER_AMPS = [0.02, 0.0125]
@@ -108,8 +109,21 @@ def test_rejects_bad_dimensions(paper_plant, fig1_topology, paper_gain):
                  dist, 1.0, 1e-2)
 
 
+def test_unstable_rk4_step_is_refused(paper_plant, fig1_topology, paper_gain, paper_x0):
+    # 10 K keeps the error loop Hurwitz (abscissa -1.82), but at dt = 0.01 its
+    # fast modes leave the RK4 stability region: rho(Phi) = 161
+    dist = make_disturbance("none", paper_plant)
+    with pytest.raises(UnstableStepError, match=r"dt=0\.01 .* 161\.4"):
+        simulate(paper_plant, fig1_topology, 10 * paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
+    # a loop that is not Hurwitz has no decay to protect and still simulates
+    traj = simulate(paper_plant, fig1_topology, np.zeros((1, 2)), [0.0], paper_x0, dist,
+                    1.0, 1e-2)
+    assert np.all(np.isfinite(traj.errors))
+
+
 def test_controls_match_stacked_protocol(paper_plant, fig1_topology, paper_gain, paper_x0):
-    from minellip import build_laplacian, stacked_control
+    from minellip import build_laplacian
+    from reference import stacked_control
 
     dist = make_disturbance("sinusoid", paper_plant, amplitudes=PAPER_AMPS,
                             angular_frequency=PAPER_FREQ)
