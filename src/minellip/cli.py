@@ -31,8 +31,7 @@ from .ellipsoid import (
 from .errors import ConfigError, NotHurwitzError, ToolkitError
 from .gainsynth import consensus_feasible, optimize_gain
 from .graph import build_laplacian
-from .matkit import spectrum
-from .protocol import closed_loop
+from .protocol import modal_form
 from .sim import make_disturbance, metrics, simulate
 
 EXIT_OK = 0
@@ -86,8 +85,7 @@ def cmd_verify(cfg, args) -> int:
     lines.append(f"consensus feasible (spanning tree + stabilizable): {'yes' if feasible else 'no'}")
     ok &= feasible
 
-    a_cl = closed_loop(cfg.plant, lp, k)
-    abscissa = spectrum(a_cl).spectral_abscissa
+    abscissa = modal_form(cfg.plant, lp, k).spectrum.spectral_abscissa
     hurwitz = abscissa < 0.0
     lines.append(f"closed-loop spectral abscissa: {abscissa:.6g} (Hurwitz: {'yes' if hurwitz else 'no'})")
     ok &= hurwitz
@@ -128,7 +126,7 @@ def cmd_verify(cfg, args) -> int:
         q_sqrt_inv = np.linalg.inv(np.linalg.cholesky(cfg.plant.Q)).T
         dominated = True
         for _ in range(20):
-            e = rng.normal(size=a_cl.shape[0])
+            e = rng.normal(size=p_used.shape[0])
             try:
                 w_star = worst_disturbance(p_used, cfg.plant, e)
             except ToolkitError:

@@ -1,10 +1,10 @@
 """Dense real-matrix kernels shared by the whole toolkit.
 
-Everything operates on plain ``numpy`` arrays at desk scale (dimensions up
-to a dozen or so), so the solvers favour simple, verifiable algorithms over
-asymptotically clever ones: the Lyapunov solver vectorizes through a
-Kronecker product and the Riccati solver is a Newton iteration whose steps
-are Lyapunov solves.
+The solvers favour simple, verifiable algorithms on small dense matrices
+(order n, not nN): one Kronecker kernel, :func:`sylvester_solve`, solves a
+batch of small Sylvester equations in one LU call and serves the n x n
+modal blocks of the ellipsoid analysis; :func:`lyap_solve` is its one-item
+Lyapunov form, and the Riccati solver is a Newton iteration of those.
 """
 
 from __future__ import annotations
@@ -68,10 +68,13 @@ def eig_sym(s, tol: float = 1e-10) -> np.ndarray:
 
 
 def spectrum(m) -> SpectrumSummary:
-    """All eigenvalues (complex allowed) and the spectral abscissa of ``m``."""
-    m = as_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
+    """All eigenvalues (complex allowed) and the spectral abscissa of a
+    square ``m`` or of a stack ``(..., n, n)`` of them, taken over the stack."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"m must be square, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("m contains non-finite entries")
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -79,57 +82,58 @@ def spectrum(m) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=w, spectral_abscissa=float(w.real.max()))
 
 
-def lyap_solve(m, c, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve the continuous Lyapunov equation ``m X + X m^T + c = 0``.
+def sylvester_solve(m, n, c, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Solve ``m_k X_k + X_k n_k^T + c_k = 0`` for every item k of a batch:
+    m is (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast.
 
-    Parameters
-    ----------
-    m : (n, n) array_like
-        Coefficient matrix; unique solvability requires that no two of its
-        eigenvalues sum to zero (any Hurwitz ``m`` qualifies).
-    c : (n, n) array_like
-        Symmetric right-hand side.
-    tol : float
-        Relative residual bound accepted for the returned solution.
-
-    Returns
-    -------
-    X : (n, n) ndarray
-        Symmetric solution with ``||m X + X m^T + c||_F`` below
-        ``tol * (||m|| ||X|| + ||c||)``.
-
-    Notes
-    -----
-    The equation is vectorized through ``vec(m X + X m^T) =
-    (I (x) m + m (x) I) vec(X)`` and solved as a dense ``n^2 x n^2`` linear
-    system, which is exact at desk scale.
+    Each item is vectorized row by row, ``(m (x) I_b + I_a (x) n) vec(X) =
+    -vec(c)``, and the batch of ``ab x ab`` systems goes to one LU call. The
+    operator is never diagonalized, so defective m or n cost no accuracy.
+    Raises ``SingularSylvesterError`` when an eigenvalue of ``m_k`` plus one
+    of ``n_k`` is zero or an item misses :func:`check_residual` at ``tol``.
     """
-    m = as_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"m must be square, got {m.shape}")
-    c = check_symmetric(c, name="c")
-    if c.shape != m.shape:
-        raise ValueError(f"c must match m: {c.shape} vs {m.shape}")
-    n = m.shape[0]
-    eye = np.eye(n)
-    op = np.kron(eye, m) + np.kron(m, eye)
+    m, n, c = (np.asarray(x, dtype=float) for x in (m, n, c))
+    a, b = m.shape[-1], n.shape[-1]
+    if m.shape[-2:] != (a, a) or n.shape[-2:] != (b, b) or c.shape[-2:] != (a, b):
+        raise ValueError(f"shapes {m.shape}, {n.shape}, {c.shape} do not form m X + X n^T + c")
+    op = (m[..., :, None, :, None] * np.eye(b)[:, None, :]
+          + np.eye(a)[:, None, :, None] * n[..., None, :, None, :])
     try:
-        x = np.linalg.solve(op, -c.ravel(order="F"))
+        x = np.linalg.solve(op.reshape(op.shape[:-4] + (a * b, a * b)),
+                            -c.reshape(c.shape[:-2] + (a * b, 1)))
     except np.linalg.LinAlgError as exc:
-        raise SingularSylvesterError("an eigenvalue pair of m sums to zero") from exc
-    X = x.reshape((n, n), order="F")
-    X = 0.5 * (X + X.T)
-    residual = float(np.linalg.norm(m @ X + X @ m.T + c, "fro"))
-    scale = max(
-        1e-30,
-        float(np.linalg.norm(m, "fro")) * float(np.linalg.norm(X, "fro"))
-        + float(np.linalg.norm(c, "fro")),
-    )
-    if residual > max(tol, 100 * np.finfo(float).eps) * scale:
+        raise SingularSylvesterError("an eigenvalue of m plus one of n is zero") from exc
+    x = x.reshape(x.shape[:-2] + (a, b))
+    check_residual(m, n, x, c, tol)
+    return x
+
+
+def check_residual(m, n, x, c, tol: float = DEFAULT_TOL) -> None:
+    """Raise ``SingularSylvesterError`` unless every item of the batch has
+    ``||m X + X n^T + c|| <= tol * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
+    (Frobenius norms, ``tol`` floored at 100 machine epsilons): a solution
+    of a nearly singular operator misses its own equation."""
+    def fro(y):
+        return np.sqrt(np.einsum("...ij,...ij->...", y, y))
+
+    ratio = fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
+        1e-30, 0.5 * (fro(m) + fro(n)) * fro(x) + fro(c))
+    if np.any(ratio > max(tol, 100 * np.finfo(float).eps)):
         raise SingularSylvesterError(
-            f"Lyapunov operator nearly singular: residual {residual:.3e} at scale {scale:.3e}"
-        )
-    return X
+            f"Sylvester operator nearly singular: relative residual {float(np.max(ratio)):.3e}")
+
+
+def lyap_solve(m, c, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Symmetric solution X of the Lyapunov equation ``m X + X m^T + c = 0``
+    for square m and symmetric c, unique when no two eigenvalues of m sum
+    to zero (any Hurwitz m qualifies): one item of :func:`sylvester_solve`,
+    under the same residual rule."""
+    m = as_matrix(m, "m")
+    c = check_symmetric(c, name="c")
+    if c.shape != m.shape or m.shape[0] != m.shape[1]:
+        raise ValueError(f"m must be square and match c: {m.shape} vs {c.shape}")
+    x = sylvester_solve(m, m, c, tol)
+    return 0.5 * (x + x.T)
 
 
 def _stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -5,7 +5,8 @@ The leader evolves as ``sigma0' = A sigma0 + B u0`` and each follower as
 bounded by ``omega^T Q omega <= 1``. The protocol feeds each follower the
 weighted state differences to its neighbours plus the known leader input,
 so the stacked follower-minus-leader error obeys a linear system driven
-only by the disturbance.
+only by the disturbance. The reduced Laplacian is symmetric, so that system
+splits into N decoupled n x n modes in its eigenbasis (:func:`modal_form`).
 """
 
 from __future__ import annotations
@@ -76,3 +77,26 @@ def closed_loop(plant: PlantModel, lp: LaplacianPair, k) -> np.ndarray:
     n_followers = lp.L_tilde.shape[0]
     return np.kron(np.eye(n_followers), plant.A) - np.kron(lp.L_tilde, plant.B @ k)
 
+
+@dataclass(frozen=True, eq=False)
+class ModalForm:
+    """The error closed loop in the eigenbasis of ``L_tilde = U diag(lam) U^T``:
+    ``(U^T (x) I_n) A_cl (U (x) I_n) = blockdiag(blocks)`` with
+    ``blocks[i] = A - lam[i] B K``, and the disturbance channel ``1_N (x) E``
+    becomes ``c (x) E`` with ``c = U^T 1_N``."""
+
+    lam: np.ndarray
+    U: np.ndarray
+    c: np.ndarray
+    blocks: np.ndarray
+    spectrum: matkit.SpectrumSummary
+
+
+def modal_form(plant: PlantModel, lp: LaplacianPair, k) -> ModalForm:
+    """Decouple ``closed_loop(plant, lp, k)`` into its N modal n x n blocks;
+    their eigenvalues together are the spectrum of the stacked closed loop."""
+    k = check_gain(plant, k)
+    lam, u = np.linalg.eigh(matkit.check_symmetric(lp.L_tilde, name="L_tilde"))
+    blocks = plant.A - lam[:, None, None] * (plant.B @ k)
+    return ModalForm(lam=lam, U=u, c=u.sum(axis=0), blocks=blocks,
+                     spectrum=matkit.spectrum(blocks))

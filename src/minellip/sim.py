@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import matkit
 from .errors import (
     DimensionMismatchError,
     DisturbanceBoundViolatedError,
@@ -23,7 +22,7 @@ from .errors import (
     UnstableStepError,
 )
 from .graph import Topology, build_laplacian
-from .protocol import PlantModel, check_gain, closed_loop
+from .protocol import PlantModel, check_gain, modal_form
 
 #: Slack accepted when validating disturbance samples against the Q bound.
 BOUND_SLACK = 1e-9
@@ -199,8 +198,9 @@ def simulate(
     x0 = x0.reshape(n_followers + 1, n)
     lp = build_laplacian(topology)
     # One RK4 step maps the undisturbed error by Phi = p(dt A_cl), with
-    # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so rho(Phi) = max |p(dt lambda)|.
-    spec = matkit.spectrum(closed_loop(plant, lp, k))
+    # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so rho(Phi) = max |p(dt lambda)|
+    # over the eigenvalues of the modal blocks of A_cl.
+    spec = modal_form(plant, lp, k).spectrum
     z = dt * spec.eigenvalues
     rho = float(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))).max())
     if spec.spectral_abscissa < 0.0 and rho >= 1.0:

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import minimize_scalar
 
 from minellip import (
     PlantModel,
@@ -24,10 +28,59 @@ from minellip.errors import (
     NotHurwitzError,
 )
 from minellip.matkit import lyap_solve
+from minellip.protocol import modal_form
 
 
 def scalar_family_reference(beta):
     return 1.0 / (beta * (2.0 - beta))
+
+
+def scipy_min_trace(plant, lp, k):
+    """``(beta*, X(beta) as a function, beta_max)`` of the equality family,
+    built from the stacked matrices with SciPy's Lyapunov solver and a
+    bounded scalar minimizer over log beta."""
+    n_followers = lp.L_tilde.shape[0]
+    a_cl = np.kron(np.eye(n_followers), plant.A) - np.kron(lp.L_tilde, plant.B @ k)
+    ones_e = np.kron(np.ones((n_followers, 1)), plant.E)
+    g = ones_e @ np.linalg.solve(plant.Q, ones_e.T)
+
+    def family(beta):
+        shifted = a_cl + 0.5 * beta * np.eye(a_cl.shape[0])
+        return scipy.linalg.solve_continuous_lyapunov(shifted, -g / beta)
+
+    top = -2.0 * float(scipy.linalg.eigvals(a_cl).real.max())
+    found = minimize_scalar(lambda log_b: float(np.trace(family(np.exp(log_b)))),
+                            bounds=(np.log(1e-6 * top), np.log((1.0 - 1e-6) * top)),
+                            method="bounded", options={"xatol": 1e-12, "maxiter": 500})
+    return float(np.exp(found.x)), family, top
+
+
+def seeded_adjacency(n_followers, seed):
+    """Leader-rooted adjacency: a random weighted spanning tree over the
+    followers, N // 2 extra edges and 1 + N // 8 followers pinned to the
+    leader, weights uniform on [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n_followers, n_followers))
+    pairs = [(i, int(rng.integers(0, i))) for i in range(1, n_followers)]
+    pairs += [tuple(rng.choice(n_followers, 2, replace=False)) for _ in range(n_followers // 2)]
+    for i, j in pairs:
+        w[i, j] = w[j, i] = rng.uniform(0.5, 2.0)
+    adj = np.zeros((n_followers + 1, n_followers + 1))
+    adj[1:, 1:] = w
+    pins = rng.choice(n_followers, 1 + n_followers // 8, replace=False)
+    adj[1 + pins, 0] = rng.uniform(0.5, 2.0, size=pins.size)
+    return adj
+
+
+def assert_matches_scipy(plant, lp, k):
+    res = minimize_trace(plant, lp, k)
+    beta_ref, family, top = scipy_min_trace(plant, lp, k)
+    assert res.beta_max == pytest.approx(top, rel=1e-6)
+    assert res.beta_star == pytest.approx(beta_ref, rel=1e-5)
+    assert res.trace_value == pytest.approx(np.trace(family(beta_ref)), rel=1e-6)
+    x_ref = family(res.beta_star)
+    assert np.linalg.norm(res.X_star - x_ref) <= 1e-6 * np.linalg.norm(x_ref)
+    return res
 
 
 # --- invariance block and certificate ----------------------------------
@@ -210,6 +263,64 @@ def test_minimizer_invariants(paper_minimization):
     assert res.trace_value == pytest.approx(np.trace(res.X_star), rel=1e-12)
     w = np.linalg.eigvalsh(res.P_star)
     assert w.min() > 0.0
+
+
+# --- modal solve against SciPy on the stacked system ---------------------
+
+def test_modal_repeated_laplacian_eigenvalues(paper_plant, paper_gain):
+    # complete follower graph, every follower pinned with weight 1:
+    # L_tilde = 5 I - 1 1^T has the eigenvalue 5 four times over
+    adj = np.zeros((5, 5))
+    adj[1:, 1:] = 1.0 - np.eye(4)
+    adj[1:, 0] = 1.0
+    lp = build_laplacian(Topology(adjacency=adj))
+    np.testing.assert_allclose(modal_form(paper_plant, lp, paper_gain).lam, [1, 5, 5, 5])
+    assert_matches_scipy(paper_plant, lp, paper_gain)
+
+
+def test_modal_defective_block(paper_plant, paper_gain):
+    # the pin weight 4 k1 / k2^2 gives A - lambda B K a double eigenvalue
+    # with a single eigenvector
+    k1, k2 = paper_gain[0]
+    lp = build_laplacian(Topology(adjacency=[[0.0, 0.0], [4.0 * k1 / k2**2, 0.0]]))
+    block = modal_form(paper_plant, lp, paper_gain).blocks[0]
+    assert np.linalg.matrix_rank(block + 2.0 * k1 / k2 * np.eye(2)) == 1
+    assert_matches_scipy(paper_plant, lp, paper_gain)
+
+
+def test_modal_unreachable_mode_is_widened(paper_plant, fig1_laplacian, paper_gain):
+    # on the Fig. 1 graph the mode of L_tilde's eigenvector (1, -1, 0) has
+    # c_2 = 0, so X* is singular up to the widening
+    assert np.abs(modal_form(paper_plant, fig1_laplacian, paper_gain).c).min() <= 1e-12
+    res = assert_matches_scipy(paper_plant, fig1_laplacian, paper_gain)
+    assert np.linalg.cond(res.X_star) > 1e9
+    cert = check_invariant(paper_plant, fig1_laplacian, paper_gain, res.P_star, res.beta_star)
+    assert cert.feasible
+
+
+def test_modal_seeded_hundred_followers(paper_plant, paper_gain):
+    lp = build_laplacian(Topology(adjacency=seeded_adjacency(100, 2010)))
+    start = time.perf_counter()
+    minimize_trace(paper_plant, lp, paper_gain)
+    # about 0.1 s on two cores; a dense Kronecker solve of this order needs
+    # a 40000 x 40000 operator
+    assert time.perf_counter() - start < 5.0
+    assert_matches_scipy(paper_plant, lp, paper_gain)
+
+
+def test_ill_conditioned_p_star_certifies(paper_plant, paper_gain):
+    # followers 1-2-3 in a weighted triangle, the leader pinned to follower 3
+    # only: cond(X*) is 7.8e9, just under the widening switch, so P* is
+    # accurate enough for its own block test only if the inverse is taken
+    # where the modes are decoupled
+    adj = np.array([[0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 1.4997, 1.8133],
+                    [0.0, 1.4997, 0.0, 1.4575],
+                    [1.3501, 1.8133, 1.4575, 0.0]])
+    lp = build_laplacian(Topology(adjacency=adj))
+    res = minimize_trace(paper_plant, lp, paper_gain)
+    assert check_invariant(paper_plant, lp, paper_gain, res.P_star, res.beta_star).feasible
+    assert find_beta(paper_plant, lp, paper_gain, res.P_star) is not None
 
 
 # --- input bound ----------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minellip import are_solve, eig_sym, is_pd, lyap_solve, spectrum
+from minellip.matkit import sylvester_solve
 from minellip.errors import (
     NotStabilizableError,
     NotSymmetricError,
@@ -160,6 +161,37 @@ def test_lyap_singular_pair_raises():
     # Eigenvalues +1 and -1 sum to zero.
     with pytest.raises(SingularSylvesterError):
         lyap_solve(np.diag([1.0, -1.0]), np.eye(2))
+
+
+# --- sylvester_solve --------------------------------------------------
+
+def test_sylvester_mixed_batch_matches_scipy():
+    # Hurwitz, defective (Jordan block) and anti-stable items in one batch;
+    # each must agree with SciPy's Bartels-Stewart solve of m X + X n^T = -c
+    rng = np.random.default_rng(41)
+    m = np.stack([random_hurwitz(rng, 3), np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                                                     [0.0, 0.0, -1.0]]),
+                  -random_hurwitz(rng, 3), rng.normal(size=(3, 3)) + 5.0 * np.eye(3)])
+    n = np.stack([random_hurwitz(rng, 2), np.array([[-2.0, 1.0], [0.0, -2.0]]),
+                  -random_hurwitz(rng, 2), random_hurwitz(rng, 2)])
+    c = rng.normal(size=(4, 3, 2))
+    x = sylvester_solve(m, n, c)
+    assert x.shape == (4, 3, 2)
+    for k in range(4):
+        ref = scipy.linalg.solve_sylvester(m[k], n[k].T, -c[k])
+        np.testing.assert_allclose(x[k], ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
+    # a shared left operand broadcasts against a batch of right operands
+    np.testing.assert_allclose(sylvester_solve(m[0], n, c)[2],
+                               scipy.linalg.solve_sylvester(m[0], n[2].T, -c[2]), atol=1e-10)
+
+
+def test_sylvester_batch_with_singular_item_raises():
+    # item 1 pairs the eigenvalue 1 of m with -1 of n: the operator is singular
+    rng = np.random.default_rng(42)
+    m = np.stack([random_hurwitz(rng, 2), np.diag([1.0, 2.0]), random_hurwitz(rng, 2)])
+    n = np.stack([random_hurwitz(rng, 2), np.diag([-1.0, 3.0]), random_hurwitz(rng, 2)])
+    with pytest.raises(SingularSylvesterError):
+        sylvester_solve(m, n, rng.normal(size=(3, 2, 2)))
 
 
 # --- are_solve --------------------------------------------------------

@@ -11,6 +11,7 @@ from minellip import (
     spectrum,
 )
 from minellip.errors import DimensionMismatchError
+from minellip.protocol import modal_form
 from reference import control_inputs, error_rhs, stacked_control
 
 
@@ -63,6 +64,21 @@ def test_closed_loop_single_follower(paper_plant, paper_gain):
 def test_closed_loop_paper_gain_is_hurwitz(paper_plant, fig1_laplacian, paper_gain):
     a_cl = closed_loop(paper_plant, fig1_laplacian, paper_gain)
     assert spectrum(a_cl).spectral_abscissa < 0
+
+
+def test_modal_form_block_diagonalizes_closed_loop(paper_plant, fig1_laplacian, paper_gain):
+    modal = modal_form(paper_plant, fig1_laplacian, paper_gain)
+    rot = np.kron(modal.U, np.eye(2))
+    rotated = rot.T @ closed_loop(paper_plant, fig1_laplacian, paper_gain) @ rot
+    expected = np.zeros((6, 6))
+    for i, block in enumerate(modal.blocks):
+        expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
+    np.testing.assert_allclose(rotated, expected, atol=1e-12)
+    np.testing.assert_allclose(modal.c, modal.U.T @ np.ones(3), atol=1e-15)
+    dense = spectrum(closed_loop(paper_plant, fig1_laplacian, paper_gain))
+    np.testing.assert_allclose(np.sort_complex(modal.spectrum.eigenvalues.ravel()),
+                               np.sort_complex(dense.eigenvalues), atol=1e-9)
+    assert modal.spectrum.spectral_abscissa == pytest.approx(dense.spectral_abscissa, rel=1e-12)
 
 
 def test_control_consensus_fixed_point(paper_plant, fig1_topology, paper_gain):
