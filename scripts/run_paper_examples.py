@@ -3,6 +3,8 @@
 Verifies the certificates once, then simulates each scenario and prints the
 per-agent steady-state error peaks alongside the ellipsoid entry times.
 Outputs (trajectory CSVs, metric files, reports) land in ./out by default.
+Each step goes through ``minellip.cli.main``, so a bad scenario reports a
+config error and exit code 2 like the ``minellip`` command does.
 
 Usage: python scripts/run_paper_examples.py [outdir]
 """
@@ -15,11 +17,7 @@ OUT = sys.argv[1] if len(sys.argv) > 1 else "out"
 
 
 def run(command, name):
-    args = cli.build_parser().parse_args(
-        [command, "--config", str(scenario.bundled_path(name)), "--out", OUT]
-    )
-    cfg = scenario.load(args.config)
-    code = args.func(cfg, args)
+    code = cli.main([command, "--config", str(scenario.bundled_path(name)), "--out", OUT])
     print(f"[{name}] {command} -> exit {code}\n")
     return code
 

@@ -31,7 +31,7 @@ from .ellipsoid import (
 from .errors import ConfigError, NotHurwitzError, ToolkitError
 from .gainsynth import consensus_feasible, optimize_gain
 from .graph import build_laplacian
-from .protocol import modal_form
+from .protocol import disturbance_channel, modal_form
 from .sim import make_disturbance, metrics, simulate
 
 EXIT_OK = 0
@@ -47,10 +47,10 @@ def _out_dir(cfg, args) -> Path:
 
 
 def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "dt", None) is not None:
-        cfg.simulation.dt = float(args.dt)
-    if getattr(args, "t_final", None) is not None:
-        cfg.simulation.t_final = float(args.t_final)
+    if args.dt is not None:
+        cfg.simulation.dt = args.dt
+    if args.t_final is not None:
+        cfg.simulation.t_final = args.t_final
     if cfg.simulation.dt <= 0 or cfg.simulation.t_final < cfg.simulation.dt:
         raise ConfigError("overrides must keep dt > 0 and t_final >= dt")
 
@@ -122,7 +122,7 @@ def cmd_verify(cfg, args) -> int:
 
         # Random-direction oracle: the analytic worst direction must dominate
         # seeded random Q-unit samples in the growth inner product.
-        ones_e = np.kron(np.ones((cfg.topology.follower_count, 1)), cfg.plant.E)
+        ones_e = disturbance_channel(cfg.plant, cfg.topology.follower_count)
         q_sqrt_inv = np.linalg.inv(np.linalg.cholesky(cfg.plant.Q)).T
         dominated = True
         for _ in range(20):
@@ -328,9 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="scenario YAML file")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--dt", type=float, default=None, help="integration step override")
-        sp.add_argument("--t-final", type=float, default=None, help="horizon override")
-        sp.add_argument("--seed", type=int, default=0, help="seed for random-direction oracles")
+        if name == "verify":
+            sp.add_argument("--seed", type=int, default=0, help="seed for random-direction oracles")
+        if name == "simulate":
+            sp.add_argument("--dt", type=float, default=None, help="integration step override")
+            sp.add_argument("--t-final", type=float, default=None, help="horizon override")
         sp.set_defaults(func=fn)
     return parser
 

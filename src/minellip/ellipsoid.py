@@ -25,7 +25,7 @@ import numpy as np
 from . import matkit
 from .errors import BetaOutOfRangeError, DegenerateDirectionError, NotHurwitzError
 from .graph import LaplacianPair
-from .protocol import ModalForm, PlantModel, closed_loop, modal_form
+from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,13 +50,9 @@ class MinimizationResult:
     beta_max: float
 
 
-def _ones_e(plant: PlantModel, n_followers: int) -> np.ndarray:
-    return np.kron(np.ones((n_followers, 1)), plant.E)
-
-
 def _disturbance_gramian_rhs(plant: PlantModel, n_followers: int) -> np.ndarray:
     """The matrix ``(1_N (x) E) Q^{-1} (1_N (x) E)^T`` driving the family."""
-    ones_e = _ones_e(plant, n_followers)
+    ones_e = disturbance_channel(plant, n_followers)
     g = ones_e @ np.linalg.solve(plant.Q, ones_e.T)
     return 0.5 * (g + g.T)
 
@@ -69,7 +65,7 @@ def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) ->
     a_cl = closed_loop(plant, lp, k)
     if P.shape != a_cl.shape:
         raise ValueError(f"P must be {a_cl.shape}, got {P.shape}")
-    ones_e = _ones_e(plant, lp.L_tilde.shape[0])
+    ones_e = disturbance_channel(plant, lp.L_tilde.shape[0])
     top = P @ a_cl + a_cl.T @ P + beta * P
     off = P @ ones_e
     return np.block([[top, off], [off.T, -beta * plant.Q]])
@@ -91,15 +87,15 @@ def check_invariant(
     return InvarianceCertificate(beta=float(beta), max_eig=max_eig, feasible=max_eig <= tol)
 
 
-def _log_golden_min(f, lo: float, hi: float, n_grid: int, rtol: float) -> float:
-    """Minimizer of a unimodal ``f`` on ``[lo, hi]``, ``0 < lo``: a geometric
-    grid of ``n_grid`` points brackets the best point, then golden-section
-    search in log beta narrows the bracket to relative width ``rtol``, which
-    means the same at any scale of the data."""
-    grid = np.geomspace(lo, hi, n_grid)
+def _log_golden_min(f, beta_max: float, rtol: float) -> float:
+    """Minimizer of a unimodal ``f`` on ``(0, beta_max)``: a 50-point
+    geometric grid on ``[1e-6, 1 - 1e-6] * beta_max`` brackets the best
+    point, then golden-section search in log beta narrows the bracket to
+    relative width ``rtol``, which means the same at any scale of the data."""
+    grid = np.geomspace(1e-6 * beta_max, (1.0 - 1e-6) * beta_max, 50)
     i = int(np.argmin([f(b) for b in grid]))
     a = np.log(grid[max(i - 1, 0)])
-    b = np.log(grid[min(i + 1, n_grid - 1)])
+    b = np.log(grid[min(i + 1, grid.size - 1)])
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(float(np.exp(c))), f(float(np.exp(d)))
@@ -123,11 +119,16 @@ def find_beta(
     Works on the Schur complement ``M0 + beta P + (1/beta) P G P`` with
     ``G = (1_N (x) E) Q^{-1} (1_N (x) E)^T``, which is matrix-convex in beta
     on beta > 0, so its maximum eigenvalue is unimodal and the feasible set
-    is an interval: a geometric grid brackets the minimizer and a
-    golden-section shrink narrows the bracket to width ``tol`` (relative).
-    Returns a feasible beta, or None when no multiplier exists.
+    is an interval. A feasible beta makes ``P (A_cl + beta/2) + (.)^T <= 0``
+    with P > 0, so it lies in ``(0, beta_max]``, ``beta_max = -2
+    abscissa(A_cl)``: the search is ``minimize_trace``'s, on that bracket,
+    narrowed to relative width ``tol``. Returns a feasible beta, or None when
+    no multiplier exists (at once when A_cl is not Hurwitz).
     """
     P = matkit.check_symmetric(P, name="P")
+    abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa
+    if abscissa >= 0.0:
+        return None
     a_cl = closed_loop(plant, lp, k)
     m0 = P @ a_cl + a_cl.T @ P
     g = _disturbance_gramian_rhs(plant, lp.L_tilde.shape[0])
@@ -137,7 +138,7 @@ def find_beta(
     def schur_max_eig(beta: float) -> float:
         return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
 
-    beta = _log_golden_min(schur_max_eig, 1e-8, 1e8, 65, tol)
+    beta = _log_golden_min(schur_max_eig, -2.0 * abscissa, tol)
     cert = check_invariant(plant, lp, k, P, beta)
     return beta if cert.feasible else None
 
@@ -231,8 +232,7 @@ def minimize_trace(
     """
     modal, w, beta_max = _family_setup(plant, lp, k)
     beta_star = _log_golden_min(
-        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta))),
-        1e-6 * beta_max, (1.0 - 1e-6) * beta_max, 50, tol,
+        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta))), beta_max, tol
     )
     x_star, p_star = _family_at(plant, lp, k, modal, w, beta_star)
     return MinimizationResult(
@@ -273,7 +273,7 @@ def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:
     n_followers, rem = divmod(e.size, plant.n)
     if rem != 0 or P.shape != (e.size, e.size):
         raise ValueError(f"e of length {e.size} does not match P {P.shape} and n={plant.n}")
-    v = _ones_e(plant, n_followers).T @ (P @ e)
+    v = disturbance_channel(plant, n_followers).T @ (P @ e)
     y = np.linalg.solve(plant.Q, v)
     s = float(v @ y)
     if s <= (1e-12 * (1.0 + float(np.linalg.norm(P @ e)))) ** 2:

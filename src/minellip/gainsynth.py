@@ -30,19 +30,8 @@ class DesignResult:
 
     K: np.ndarray
     gamma: float
-    riccati_P: np.ndarray
     minimization: MinimizationResult
     input_ok: bool
-
-
-def _riccati_gain(plant: PlantModel, lp: LaplacianPair, gamma: float, q0):
-    lam = matkit.eig_sym(lp.L_tilde)
-    lam_min = float(lam[0])
-    if lam_min <= 1e-8 * max(1.0, float(lam[-1])):
-        raise NoSpanningTreeError("smallest reduced-Laplacian eigenvalue is not positive")
-    p_are = matkit.are_solve(plant.A, plant.B, q0, gamma)
-    k = (gamma / (2.0 * lam_min)) * (plant.B.T @ p_are)
-    return k, p_are
 
 
 def design_gain(plant: PlantModel, lp: LaplacianPair, gamma: float, q0=None) -> np.ndarray:
@@ -53,10 +42,14 @@ def design_gain(plant: PlantModel, lp: LaplacianPair, gamma: float, q0=None) -> 
     holds, which makes every ``A - lambda_i B K`` Hurwitz for the reduced
     Laplacian eigenvalues ``lambda_i >= lambda_min > 0``.
     """
+    lam = matkit.eig_sym(lp.L_tilde)
+    lam_min = float(lam[0])
+    if lam_min <= 1e-8 * max(1.0, float(lam[-1])):
+        raise NoSpanningTreeError("smallest reduced-Laplacian eigenvalue is not positive")
     if q0 is None:
         q0 = np.eye(plant.n)
-    k, _ = _riccati_gain(plant, lp, gamma, q0)
-    return k
+    p_are = matkit.are_solve(plant.A, plant.B, q0, gamma)
+    return (gamma / (2.0 * lam_min)) * (plant.B.T @ p_are)
 
 
 def _pbh_stabilizable(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -101,13 +94,11 @@ def optimize_gain(
         raise NotStabilizableError("(A, B) fails the PBH stabilizability test")
     if gamma_grid is None:
         gamma_grid = DEFAULT_GAMMA_GRID
-    if q0 is None:
-        q0 = np.eye(plant.n)
 
     best = None
     for gamma in gamma_grid:
         gamma = float(gamma)
-        k, p_are = _riccati_gain(plant, lp, gamma, q0)
+        k = design_gain(plant, lp, gamma, q0)
         minimization = minimize_trace(plant, lp, k, tol=tol)
         if not check_input_bound(lp, k, minimization.P_star, plant.eta):
             continue
@@ -116,7 +107,6 @@ def optimize_gain(
             best = (key, DesignResult(
                 K=k,
                 gamma=gamma,
-                riccati_P=p_are,
                 minimization=minimization,
                 input_ok=True,
             ))

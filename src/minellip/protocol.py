@@ -78,6 +78,12 @@ def closed_loop(plant: PlantModel, lp: LaplacianPair, k) -> np.ndarray:
     return np.kron(np.eye(n_followers), plant.A) - np.kron(lp.L_tilde, plant.B @ k)
 
 
+def disturbance_channel(plant: PlantModel, n_followers: int) -> np.ndarray:
+    """Stacked disturbance input matrix ``1_N (x) E`` of the error system
+    ``e' = A_cl e + (1_N (x) E) omega``."""
+    return np.tile(plant.E, (n_followers, 1))
+
+
 @dataclass(frozen=True, eq=False)
 class ModalForm:
     """The error closed loop in the eigenbasis of ``L_tilde = U diag(lam) U^T``:

@@ -1,9 +1,12 @@
 """Fixed-step simulation of the perturbed multi-agent system.
 
-The full stack of leader plus followers is integrated with classical
-fourth-order Runge-Kutta. Time-dependent disturbances are sampled at the
-stage times; the worst-case (state-feedback) disturbance is evaluated once
-per step from the current error and held constant across the stages, a
+The leader state and the follower-minus-leader error are integrated together
+with classical fourth-order Runge-Kutta: ``sigma0' = A sigma0 + B u0`` and
+``e' = A_cl e + (1_N (x) E) omega``, the same error system the ellipsoid
+certificates are stated for. Follower states are recovered as
+``e + 1_N (x) sigma0``. Time-dependent disturbances are sampled at the stage
+times; the worst-case (state-feedback) disturbance is evaluated once per
+step from the current error and held constant across the stages, a
 piecewise-constant realization that keeps the integrated vector field
 smooth within each step.
 """
@@ -22,7 +25,7 @@ from .errors import (
     UnstableStepError,
 )
 from .graph import Topology, build_laplacian
-from .protocol import PlantModel, check_gain, modal_form
+from .protocol import PlantModel, check_gain, closed_loop, disturbance_channel, modal_form
 
 #: Slack accepted when validating disturbance samples against the Q bound.
 BOUND_SLACK = 1e-9
@@ -92,7 +95,7 @@ def make_disturbance(
         # growth-maximizing direction are precomputed: omega* solves
         # max <omega, (1_N (x) E)^T P e> over the Q-unit sphere.
         n_followers = P.shape[0] // plant.n
-        channel = (np.kron(np.ones((n_followers, 1)), plant.E).T @ P)
+        channel = disturbance_channel(plant, n_followers).T @ P
         q_inv = np.linalg.inv(plant.Q)
         p_scale = float(np.linalg.norm(P, "fro"))
 
@@ -140,21 +143,6 @@ class ErrorMetrics:
     entry_time: float | None
 
 
-def _as_input_fn(u0, m: int):
-    if callable(u0):
-        def fn(t):
-            val = np.atleast_1d(np.asarray(u0(t), dtype=float))
-            if val.shape != (m,):
-                raise DimensionMismatchError(f"u0(t) must have length {m}")
-            return val
-
-        return fn, False
-    const = np.atleast_1d(np.asarray(u0, dtype=float))
-    if const.shape != (m,):
-        raise DimensionMismatchError(f"u0 must have length {m}, got {const.shape}")
-    return (lambda t: const), True
-
-
 def simulate(
     plant: PlantModel,
     topology: Topology,
@@ -166,12 +154,12 @@ def simulate(
     dt: float,
     P=None,
 ) -> Trajectory:
-    """Integrate leader and followers under the protocol with RK4.
+    """Integrate the leader and the error closed loop with RK4.
 
     Parameters
     ----------
-    u0 : constant vector (length m) or callable ``t -> u0(t)``
-        Known leader input, fed forward to every follower.
+    u0 : vector of length m
+        Known constant leader input, fed forward to every follower.
     x0 : array (N+1, n)
         Initial states, leader first.
     dist : DisturbanceSpec
@@ -188,8 +176,11 @@ def simulate(
     if t_final < dt:
         raise ValueError("t_final must be at least dt")
     k = check_gain(plant, k)
-    n, m, p_dim = plant.n, plant.m, plant.p
+    n, p_dim = plant.n, plant.p
     n_followers = topology.follower_count
+    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    if u0.shape != (plant.m,):
+        raise DimensionMismatchError(f"u0 must have length {plant.m}, got {u0.shape}")
     x0 = np.asarray(x0, dtype=float)
     if x0.size != (n_followers + 1) * n:
         raise DimensionMismatchError(
@@ -206,12 +197,15 @@ def simulate(
     if spec.spectral_abscissa < 0.0 and rho >= 1.0:
         raise UnstableStepError(f"dt={dt:g} is outside the RK4 stability region of the Hurwitz "
                                 f"error closed loop: step map spectral radius {rho:.6g} >= 1")
-    full_matrix = np.kron(np.eye(n_followers + 1), plant.A) - np.kron(lp.L, plant.B @ k)
-    input_map = np.tile(plant.B, (n_followers + 1, 1))
-    dist_map = np.zeros(((n_followers + 1) * n, p_dim))
-    dist_map[n:] = np.tile(plant.E, (n_followers, 1))
-
-    u0_fn, u0_const = _as_input_fn(u0, m)
+    # State [sigma0; e] under diag(A, A_cl), driven by [B u0; (1_N (x) E) omega].
+    dim = (n_followers + 1) * n
+    system = np.zeros((dim, dim))
+    system[:n, :n] = plant.A
+    system[n:, n:] = closed_loop(plant, lp, k)
+    dist_map = np.zeros((dim, p_dim))
+    dist_map[n:] = disturbance_channel(plant, n_followers)
+    bu = np.zeros(dim)
+    bu[:n] = plant.B @ u0
     q = plant.Q
 
     def draw(t: float, e: np.ndarray) -> np.ndarray:
@@ -225,63 +219,42 @@ def simulate(
         return w
 
     n_steps = int(np.floor(t_final / dt + 1e-9))
-    dim = (n_followers + 1) * n
     states = np.empty((n_steps + 1, dim))
     samples = np.empty((n_steps + 1, p_dim))
-    sig = x0.ravel().copy()
-    states[0] = sig
+    s = np.concatenate([x0[0], (x0[1:] - x0[0]).ravel()])
+    states[0] = s
     half = 0.5 * dt
-    tile = n_followers
-
-    bu_const = input_map @ u0_fn(0.0) if u0_const else None
     for step in range(n_steps):
         t = step * dt
-        e_now = sig[n:] - np.tile(sig[:n], tile)
+        w_a = draw(t, s[n:])
         if dist.per_step:
-            w_a = draw(t, e_now)
-            w_b = w_a
-            w_c = w_a
+            w_b = w_c = w_a
         else:
-            w_a = draw(t, e_now)
-            w_b = draw(t + half, e_now)
-            w_c = draw(t + dt, e_now)
+            w_b = draw(t + half, s[n:])
+            w_c = draw(t + dt, s[n:])
         samples[step] = w_a
-        if u0_const:
-            bu_a = bu_b = bu_c = bu_const
-        else:
-            bu_a = input_map @ u0_fn(t)
-            bu_b = input_map @ u0_fn(t + half)
-            bu_c = input_map @ u0_fn(t + dt)
-        d_a = dist_map @ w_a
-        d_b = dist_map @ w_b
-        d_c = dist_map @ w_c
-        k1 = full_matrix @ sig + bu_a + d_a
-        k2 = full_matrix @ (sig + half * k1) + bu_b + d_b
-        k3 = full_matrix @ (sig + half * k2) + bu_b + d_b
-        k4 = full_matrix @ (sig + dt * k3) + bu_c + d_c
-        sig = sig + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        states[step + 1] = sig
-    e_final = sig[n:] - np.tile(sig[:n], tile)
-    samples[n_steps] = draw(n_steps * dt, e_final)
+        d_a = bu + dist_map @ w_a
+        d_b = bu + dist_map @ w_b
+        d_c = bu + dist_map @ w_c
+        k1 = system @ s + d_a
+        k2 = system @ (s + half * k1) + d_b
+        k3 = system @ (s + half * k2) + d_b
+        k4 = system @ (s + dt * k3) + d_c
+        s = s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        states[step + 1] = s
+    samples[n_steps] = draw(n_steps * dt, s[n:])
 
-    times = np.arange(n_steps + 1) * dt
     leader = states[:, :n]
-    followers = states[:, n:]
-    errors = followers - np.tile(leader, (1, tile))
-    if u0_const:
-        u0_rows = np.tile(u0_fn(0.0), (n_steps + 1, 1))
-    else:
-        u0_rows = np.array([u0_fn(t) for t in times])
-    coupling = np.kron(lp.L_tilde, k)
-    controls = -(errors @ coupling.T) + np.tile(u0_rows, (1, tile))
+    errors = states[:, n:]
+    controls = -(errors @ np.kron(lp.L_tilde, k).T) + np.tile(u0, n_followers)
     v = None
     if P is not None:
         P = np.asarray(P, dtype=float)
         v = np.einsum("ti,ij,tj->t", errors, P, errors)
     return Trajectory(
-        times=times,
+        times=np.arange(n_steps + 1) * dt,
         leader_states=leader,
-        follower_states=followers,
+        follower_states=errors + np.tile(leader, (1, n_followers)),
         errors=errors,
         controls=controls,
         disturbances=samples,

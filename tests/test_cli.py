@@ -87,6 +87,16 @@ def test_simulate_unstable_step_exits_1(tmp_path, outdir):
     assert not (outdir / "paper_example1_trajectory.csv").exists()
 
 
+def test_options_only_on_the_subcommand_that_reads_them(outdir):
+    config = ("--config", scenario.bundled_path("scalar_demo"), "--out", outdir)
+    for argv in (("minimize", *config, "--dt", "0.1"),
+                 ("simulate", *config, "--seed", "3"),
+                 ("verify", *config, "--t-final", "1.0")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+
+
 def test_simulate_csv_schema(outdir):
     code = run("simulate", "--config", scenario.bundled_path("scalar_demo"),
                "--out", outdir, "--t-final", "2.0", "--dt", "0.001")

@@ -218,15 +218,18 @@ def test_family_paper_system_spd_with_residual(paper_plant, fig1_laplacian, pape
 
 def test_minimize_scalar_closed_form(scalar_laplacian, scalar_gain):
     # A = -a: tr X(beta) = 1 / (beta (2a - beta)), minimal at beta* = a with
-    # X* = 1/a^2; the answer must hold to the same relative accuracy at any a
-    for a in (1e-6, 1.0, 1e3):
+    # X* = 1/a^2; the answer must hold to the same relative accuracy at any a.
+    # P* is tangent to the feasible set: beta = a is its only multiplier
+    for a in (1e-10, 1e-6, 1.0, 1e3, 1e10):
         plant = PlantModel(A=[[-a]], B=[[1.0]], E=[[1.0]], Q=[[1.0]], eta=10.0)
         res = minimize_trace(plant, scalar_laplacian, scalar_gain)
         assert res.beta_star / a == pytest.approx(1.0, abs=1e-6)
         assert res.trace_value * a**2 == pytest.approx(1.0, abs=1e-8)
         assert res.P_star[0, 0] / a**2 == pytest.approx(1.0, abs=1e-8)
         assert res.beta_max / a == pytest.approx(2.0, abs=1e-12)
-        assert find_beta(plant, scalar_laplacian, scalar_gain, res.P_star) is not None
+        beta = find_beta(plant, scalar_laplacian, scalar_gain, res.P_star)
+        assert beta is not None
+        assert beta / a == pytest.approx(1.0, abs=1e-6)
 
 
 def test_minimize_requires_hurwitz(paper_plant, fig1_laplacian):

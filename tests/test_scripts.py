@@ -19,3 +19,15 @@ def test_scripts_run_against_public_names(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["run_paper_examples.py"])
     module = runpy.run_path(str(SCRIPTS / "run_paper_examples.py"))
     assert callable(module["main"])
+
+
+def test_paper_examples_report_config_errors(monkeypatch, tmp_path, capsys):
+    from minellip import scenario
+
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("plant: [unclosed\n")
+    monkeypatch.setattr(sys, "argv", ["run_paper_examples.py", str(tmp_path / "out")])
+    module = runpy.run_path(str(SCRIPTS / "run_paper_examples.py"))
+    monkeypatch.setattr(scenario, "bundled_path", lambda name: bad)
+    assert module["run"]("verify", "paper_example1") == 2
+    assert "config error" in capsys.readouterr().err

@@ -134,6 +134,25 @@ def test_controls_match_stacked_protocol(paper_plant, fig1_topology, paper_gain,
         np.testing.assert_allclose(traj.controls[idx], expected, atol=1e-12)
 
 
+def test_errors_do_not_depend_on_leader_offset(paper_plant, fig1_topology, paper_gain,
+                                               paper_minimization):
+    # e0 and the offset are exact in binary, so both runs start from the same
+    # e0; the error system does not see the leader, so neither may e or V
+    e0 = np.array([[1.0, 0.0], [0.625, 0.0], [0.125, 0.5]])
+    dist = make_disturbance("sinusoid", paper_plant, amplitudes=PAPER_AMPS,
+                            angular_frequency=PAPER_FREQ)
+    runs = []
+    for leader in ([0.0, 0.0], [2.0**20, 2.0**10]):
+        x0 = np.vstack([leader, leader + e0])
+        runs.append(simulate(paper_plant, fig1_topology, paper_gain, [0.1], x0, dist, 5.0,
+                             1e-3, P=paper_minimization.P_star))
+    at_origin, offset = runs
+    np.testing.assert_allclose(offset.errors, at_origin.errors, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(offset.V, at_origin.V, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(offset.follower_states - np.tile(offset.leader_states, 3),
+                               offset.errors, atol=1e-9)
+
+
 # --- metrics -----------------------------------------------------------
 
 def test_metrics_zero_trajectory(paper_plant, fig1_topology, paper_gain):
