@@ -122,8 +122,10 @@ def find_beta(
     is an interval. A feasible beta makes ``P (A_cl + beta/2) + (.)^T <= 0``
     with P > 0, so it lies in ``(0, beta_max]``, ``beta_max = -2
     abscissa(A_cl)``: the search is ``minimize_trace``'s, on that bracket,
-    narrowed to relative width ``tol``. Returns a feasible beta, or None when
-    no multiplier exists (at once when A_cl is not Hurwitz).
+    narrowed to relative width ``tol``. Its grid starts at ``1e-6 beta_max``,
+    so a P whose feasible multipliers all lie below that is reported as
+    having none. Returns a feasible beta, or None when no multiplier is
+    found (at once when A_cl is not Hurwitz).
     """
     P = matkit.check_symmetric(P, name="P")
     abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa

@@ -59,6 +59,23 @@ def control_inputs(plant, topology, k, states, u0) -> np.ndarray:
     return out
 
 
+def agent_rhs(plant, topology, k, states, u0, omega) -> np.ndarray:
+    """Time derivatives of the absolute agent states, agent by agent.
+
+    Row 0 is the leader, ``sigma0' = A sigma0 + B u0``; row i is follower i,
+    ``sigma_i' = A sigma_i + B u_i + E omega`` with ``u_i`` from
+    :func:`control_inputs`. Neither the reduced Laplacian nor the stacked
+    closed loop is formed.
+    """
+    states = np.asarray(states, dtype=float)
+    u = control_inputs(plant, topology, k, states, u0)
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = states @ plant.A.T
+    out[0] += plant.B @ np.atleast_1d(np.asarray(u0, dtype=float))
+    out[1:] += u @ plant.B.T + plant.E @ omega
+    return out
+
+
 def stacked_control(lp, k, e, u0) -> np.ndarray:
     """Protocol inputs expressed through the stacked error:
     ``u = -(L_tilde (x) K) e + 1_N (x) u0``."""

@@ -177,6 +177,20 @@ def test_find_beta_on_reference_ellipsoid(paper_plant, fig1_laplacian, paper_gai
     assert cert.feasible
 
 
+def test_find_beta_near_lower_end_of_bracket(paper_plant, fig1_laplacian, paper_gain,
+                                             paper_minimization):
+    # the family member at beta0 has beta0 as its multiplier; near the low
+    # end of the searched (1e-6, 1) * beta_max it must still be found
+    beta_max = paper_minimization.beta_max
+    for beta0 in (1e-3 * beta_max, 1e-5 * beta_max):
+        p = np.linalg.inv(family_solution(paper_plant, fig1_laplacian, paper_gain, beta0))
+        p = 0.5 * (p + p.T)
+        beta = find_beta(paper_plant, fig1_laplacian, paper_gain, p)
+        assert beta is not None
+        assert beta / beta0 == pytest.approx(1.0, abs=0.05)
+        assert check_invariant(paper_plant, fig1_laplacian, paper_gain, p, beta).feasible
+
+
 # --- family solution ----------------------------------------------------
 
 def test_family_scalar_closed_form(scalar_plant, scalar_laplacian, scalar_gain):

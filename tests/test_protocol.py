@@ -12,7 +12,7 @@ from minellip import (
 )
 from minellip.errors import DimensionMismatchError
 from minellip.protocol import modal_form
-from reference import control_inputs, error_rhs, stacked_control
+from reference import agent_rhs, control_inputs, error_rhs, stacked_control
 
 
 def random_instance(rng):
@@ -132,15 +132,21 @@ def test_error_rhs_without_disturbance_matches_closed_loop(paper_plant, fig1_lap
 
 
 def test_error_rhs_matches_full_state_finite_difference(paper_plant, fig1_topology, paper_gain):
-    # oracle: simulate leader and followers jointly, difference the errors
+    # oracle: leader and followers agent by agent (reference.agent_rhs), which
+    # never forms L_tilde or closed_loop; their differenced rates must equal
+    # the certified error system, and simulate's agent states must move at them
     rng = np.random.default_rng(8)
     x0 = rng.normal(size=(4, 2)) * 0.3
     omega = np.array([0.015, 0.01])
-    dist = make_disturbance("custom", paper_plant, sample=lambda t, e: omega)
-    dt = 1e-6
-    traj = simulate(paper_plant, fig1_topology, paper_gain, [0.0], x0, dist, 10 * dt, dt)
+    u0 = [0.2]
+    rates = agent_rhs(paper_plant, fig1_topology, paper_gain, x0, u0, omega)
     e0 = (x0[1:] - x0[0]).ravel()
     analytic = error_rhs(paper_plant, build_laplacian(fig1_topology), paper_gain, e0, omega)
-    numeric = (traj.errors[1] - traj.errors[0]) / dt
-    scale = max(1.0, np.abs(analytic).max())
-    assert np.abs(numeric - analytic).max() <= 1e-4 * scale
+    scale = max(1.0, np.abs(rates).max())
+    assert np.abs((rates[1:] - rates[0]).ravel() - analytic).max() <= 1e-12 * scale
+    dist = make_disturbance("custom", paper_plant, sample=lambda t, e: omega)
+    dt = 1e-6
+    traj = simulate(paper_plant, fig1_topology, paper_gain, u0, x0, dist, 10 * dt, dt)
+    moved = np.vstack([traj.leader_states[1], traj.follower_states[1].reshape(3, 2)])
+    numeric = (moved - x0) / dt
+    assert np.abs(numeric - rates).max() <= 1e-4 * scale

@@ -134,6 +134,35 @@ def test_controls_match_stacked_protocol(paper_plant, fig1_topology, paper_gain,
         np.testing.assert_allclose(traj.controls[idx], expected, atol=1e-12)
 
 
+def test_agent_states_match_agent_level_rk4(paper_plant, fig1_topology, paper_gain, paper_x0):
+    # oracle: RK4 on the agents one by one (reference.agent_rhs), sampling the
+    # disturbance at the same stage times; RK4 commutes with the linear change
+    # of state to [sigma0; e], so the two agree up to rounding
+    from reference import agent_rhs
+
+    dist = make_disturbance("sinusoid", paper_plant, amplitudes=PAPER_AMPS,
+                            angular_frequency=PAPER_FREQ)
+    u0, dt = [0.25], 1e-2
+    traj = simulate(paper_plant, fig1_topology, paper_gain, u0, paper_x0, dist, 1.0, dt)
+
+    def rhs(t, x):
+        return agent_rhs(paper_plant, fig1_topology, paper_gain, x, u0, dist.sampler(t, None))
+
+    x = paper_x0.astype(float)
+    expected = [x]
+    for t in traj.times[:-1]:
+        k1 = rhs(t, x)
+        k2 = rhs(t + dt / 2, x + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, x + dt / 2 * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        expected.append(x)
+    expected = np.array(expected)
+    np.testing.assert_allclose(traj.leader_states, expected[:, 0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.follower_states, expected[:, 1:].reshape(len(expected), -1),
+                               rtol=0.0, atol=1e-10)
+
+
 def test_errors_do_not_depend_on_leader_offset(paper_plant, fig1_topology, paper_gain,
                                                paper_minimization):
     # e0 and the offset are exact in binary, so both runs start from the same
