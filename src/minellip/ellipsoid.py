@@ -72,19 +72,16 @@ def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) ->
 
 
 def check_invariant(
-    plant: PlantModel, lp: LaplacianPair, k, P, beta: float, tol: float | None = None
+    plant: PlantModel, lp: LaplacianPair, k, P, beta: float
 ) -> InvarianceCertificate:
-    """Invariance test: feasible iff the block matrix is <= 0 up to ``tol``.
-
-    The default tolerance is ``1e-7 * (1 + ||block||_2)``; entries of P can
-    reach 1e3 and beyond on realistic data, so the test must be scale-aware.
+    """Invariance test: feasible iff the block matrix is <= 0 up to
+    ``1e-7 * (1 + ||block||_2)``; entries of P can reach 1e3 and beyond on
+    realistic data, so the test must be scale-aware.
     """
-    block = invariance_block(plant, lp, k, P, beta)
-    w = np.linalg.eigvalsh(block)
+    w = np.linalg.eigvalsh(invariance_block(plant, lp, k, P, beta))
     max_eig = float(w[-1])
-    if tol is None:
-        tol = 1e-7 * (1.0 + float(np.abs(w).max()))
-    return InvarianceCertificate(beta=float(beta), max_eig=max_eig, feasible=max_eig <= tol)
+    return InvarianceCertificate(beta=float(beta), max_eig=max_eig,
+                                 feasible=max_eig <= 1e-7 * (1.0 + float(np.abs(w).max())))
 
 
 def _log_golden_min(f, beta_max: float, rtol: float) -> float:
@@ -111,9 +108,7 @@ def _log_golden_min(f, beta_max: float, rtol: float) -> float:
     return float(np.exp(0.5 * (a + b)))
 
 
-def find_beta(
-    plant: PlantModel, lp: LaplacianPair, k, P, tol: float = 1e-9
-) -> float | None:
+def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
     """Search for a multiplier beta > 0 certifying invariance of a given P.
 
     Works on the Schur complement ``M0 + beta P + (1/beta) P G P`` with
@@ -122,7 +117,7 @@ def find_beta(
     is an interval. A feasible beta makes ``P (A_cl + beta/2) + (.)^T <= 0``
     with P > 0, so it lies in ``(0, beta_max]``, ``beta_max = -2
     abscissa(A_cl)``: the search is ``minimize_trace``'s, on that bracket,
-    narrowed to relative width ``tol``. Its grid starts at ``1e-6 beta_max``,
+    narrowed to relative width 1e-9. Its grid starts at ``1e-6 beta_max``,
     so a P whose feasible multipliers all lie below that is reported as
     having none. Returns a feasible beta, or None when no multiplier is
     found (at once when A_cl is not Hurwitz).
@@ -140,7 +135,7 @@ def find_beta(
     def schur_max_eig(beta: float) -> float:
         return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
 
-    beta = _log_golden_min(schur_max_eig, -2.0 * abscissa, tol)
+    beta = _log_golden_min(schur_max_eig, -2.0 * abscissa, 1e-9)
     cert = check_invariant(plant, lp, k, P, beta)
     return beta if cert.feasible else None
 
@@ -220,21 +215,19 @@ def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.
     return _family_at(plant, lp, k, modal, w, beta)[0]
 
 
-def minimize_trace(
-    plant: PlantModel, lp: LaplacianPair, k, tol: float = 1e-8
-) -> MinimizationResult:
+def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResult:
     """Minimize ``tr(X)`` (sum of squared semiaxes of the ellipsoid of
     ``P = X^{-1}``) over the one-parameter equality family.
 
     A 50-point log-spaced pre-scan of ``(0, beta_max)`` brackets the
     minimizer and golden-section search in log beta narrows it to relative
-    width ``tol``. The trace along the family is convex, so the bracket is
+    width 1e-8. The trace along the family is convex, so the bracket is
     reliable. An evaluation solves only the N modal diagonal blocks,
     ``tr X = sum_i tr X_ii``, O(N n^6); X* is assembled once, at beta*.
     """
     modal, w, beta_max = _family_setup(plant, lp, k)
     beta_star = _log_golden_min(
-        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta))), beta_max, tol
+        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta))), beta_max, 1e-8
     )
     x_star, p_star = _family_at(plant, lp, k, modal, w, beta_star)
     return MinimizationResult(
@@ -246,20 +239,17 @@ def minimize_trace(
     )
 
 
-def check_input_bound(
-    lp: LaplacianPair, k, P, eta: float, tol: float | None = None
-) -> bool:
+def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
     """Input-norm certificate ``(L_tilde (x) K)^T (L_tilde (x) K) <= eta^2 P``,
-    tested as ``eta^2 P - R^T R >= 0`` with ``R = L_tilde (x) K``."""
+    tested as ``eta^2 P - R^T R >= -1e-7 (1 + ||eta^2 P - R^T R||_2)`` with
+    ``R = L_tilde (x) K``."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     P = matkit.check_symmetric(P, name="P")
     r = np.kron(lp.L_tilde, matkit.as_matrix(k, "K"))
     direct = eta**2 * P - r.T @ r
     w = np.linalg.eigvalsh(0.5 * (direct + direct.T))
-    if tol is None:
-        tol = 1e-7 * (1.0 + float(np.abs(w).max()))
-    return bool(w.min() >= -tol)
+    return bool(w.min() >= -1e-7 * (1.0 + float(np.abs(w).max())))
 
 
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:

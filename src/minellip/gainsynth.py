@@ -42,10 +42,9 @@ def design_gain(plant: PlantModel, lp: LaplacianPair, gamma: float, q0=None) -> 
     holds, which makes every ``A - lambda_i B K`` Hurwitz for the reduced
     Laplacian eigenvalues ``lambda_i >= lambda_min > 0``.
     """
-    lam = matkit.eig_sym(lp.L_tilde)
-    lam_min = float(lam[0])
-    if lam_min <= 1e-8 * max(1.0, float(lam[-1])):
-        raise NoSpanningTreeError("smallest reduced-Laplacian eigenvalue is not positive")
+    if not has_spanning_tree(lp):
+        raise NoSpanningTreeError("topology has no spanning tree rooted at the leader")
+    lam_min = float(matkit.eig_sym(lp.L_tilde)[0])
     if q0 is None:
         q0 = np.eye(plant.n)
     p_are = matkit.are_solve(plant.A, plant.B, q0, gamma)
@@ -78,11 +77,9 @@ def optimize_gain(
     lp: LaplacianPair,
     gamma_grid=None,
     q0=None,
-    tol: float = 1e-8,
 ) -> DesignResult:
     """Sweep the gamma grid, keep input-feasible designs, return the one of
-    smallest ellipsoid trace (ties broken by smaller gamma). ``tol`` is the
-    relative width in beta to which each trace minimization is narrowed.
+    smallest ellipsoid trace (ties broken by smaller gamma).
 
     Raises ``NoFeasibleDesignError`` when every grid point violates the
     input bound, ``NoSpanningTreeError`` / ``NotStabilizableError`` when the
@@ -99,7 +96,7 @@ def optimize_gain(
     for gamma in gamma_grid:
         gamma = float(gamma)
         k = design_gain(plant, lp, gamma, q0)
-        minimization = minimize_trace(plant, lp, k, tol=tol)
+        minimization = minimize_trace(plant, lp, k)
         if not check_input_bound(lp, k, minimization.P_star, plant.eta):
             continue
         key = (minimization.trace_value, gamma)

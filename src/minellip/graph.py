@@ -68,10 +68,10 @@ def build_laplacian(topology: Topology) -> LaplacianPair:
     return LaplacianPair(L=lap, L_tilde=lap[1:, 1:].copy())
 
 
-def has_spanning_tree(lp: LaplacianPair, tol: float | None = None) -> bool:
+def has_spanning_tree(lp: LaplacianPair) -> bool:
     """True when the graph has a spanning tree rooted at the leader,
-    equivalently when L has exactly one zero eigenvalue."""
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(lp.L, "fro")))
-    w = matkit.spectrum(lp.L).eigenvalues
-    return int(np.count_nonzero(np.abs(w) <= tol)) == 1
+    equivalently when L has exactly one zero eigenvalue. The leader row of L
+    is zero, so ``eig(L) = {0} U eig(L_tilde)`` and the test is
+    ``lambda_min(L_tilde) > 1e-8 max(1, ||L||_F)``."""
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(lp.L, "fro")))
+    return bool(matkit.eig_sym(lp.L_tilde)[0] > tol)

@@ -4,7 +4,8 @@ The solvers favour simple, verifiable algorithms on small dense matrices
 (order n, not nN): one Kronecker kernel, :func:`sylvester_solve`, solves a
 batch of small Sylvester equations in one LU call and serves the n x n
 modal blocks of the ellipsoid analysis; :func:`lyap_solve` is its one-item
-Lyapunov form, and the Riccati solver is a Newton iteration of those.
+Lyapunov form. The Riccati solver seeds from the stable invariant subspace
+of the Hamiltonian and polishes with Newton steps of those.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import (
     SingularSylvesterError,
 )
 
-#: Default relative tolerance of the numerical kernels; every routine takes
-#: an explicit override.
+#: Relative tolerance of the numerical kernels: the Sylvester, Lyapunov and
+#: Riccati residual bounds and :func:`is_pd`'s default.
 DEFAULT_TOL = 1e-9
 
 
@@ -35,8 +36,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_symmetric(s, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry of ``s`` within ``tol * max(1, ||s||_F)``.
+def check_symmetric(s, name: str = "matrix") -> np.ndarray:
+    """Validate symmetry of ``s`` within ``1e-10 * max(1, ||s||_F)``.
 
     Returns the exactly symmetrized matrix ``(s + s.T) / 2`` so downstream
     code can rely on bitwise symmetry.
@@ -45,8 +46,8 @@ def check_symmetric(s, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
     if s.shape[0] != s.shape[1]:
         raise NotSymmetricError(f"{name} is not square: {s.shape}")
     scale = max(1.0, float(np.linalg.norm(s, "fro")))
-    if float(np.linalg.norm(s - s.T, "fro")) > tol * scale:
-        raise NotSymmetricError(f"{name} is not symmetric within relative tolerance {tol:g}")
+    if float(np.linalg.norm(s - s.T, "fro")) > 1e-10 * scale:
+        raise NotSymmetricError(f"{name} is not symmetric within relative tolerance 1e-10")
     return 0.5 * (s + s.T)
 
 
@@ -58,13 +59,12 @@ class SpectrumSummary:
     spectral_abscissa: float
 
 
-def eig_sym(s, tol: float = 1e-10) -> np.ndarray:
+def eig_sym(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
-    Raises ``NotSymmetricError`` when ``s`` is asymmetric beyond ``tol``
-    (relative).
+    Raises ``NotSymmetricError`` when ``s`` fails :func:`check_symmetric`.
     """
-    return np.linalg.eigvalsh(check_symmetric(s, tol))
+    return np.linalg.eigvalsh(check_symmetric(s))
 
 
 def spectrum(m) -> SpectrumSummary:
@@ -82,7 +82,7 @@ def spectrum(m) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=w, spectral_abscissa=float(w.real.max()))
 
 
-def sylvester_solve(m, n, c, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sylvester_solve(m, n, c) -> np.ndarray:
     """Solve ``m_k X_k + X_k n_k^T + c_k = 0`` for every item k of a batch:
     m is (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast.
 
@@ -90,7 +90,7 @@ def sylvester_solve(m, n, c, tol: float = DEFAULT_TOL) -> np.ndarray:
     -vec(c)``, and the batch of ``ab x ab`` systems goes to one LU call. The
     operator is never diagonalized, so defective m or n cost no accuracy.
     Raises ``SingularSylvesterError`` when an eigenvalue of ``m_k`` plus one
-    of ``n_k`` is zero or an item misses :func:`check_residual` at ``tol``.
+    of ``n_k`` is zero or an item misses :func:`check_residual`.
     """
     m, n, c = (np.asarray(x, dtype=float) for x in (m, n, c))
     a, b = m.shape[-1], n.shape[-1]
@@ -104,26 +104,26 @@ def sylvester_solve(m, n, c, tol: float = DEFAULT_TOL) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSylvesterError("an eigenvalue of m plus one of n is zero") from exc
     x = x.reshape(x.shape[:-2] + (a, b))
-    check_residual(m, n, x, c, tol)
+    check_residual(m, n, x, c)
     return x
 
 
-def check_residual(m, n, x, c, tol: float = DEFAULT_TOL) -> None:
+def check_residual(m, n, x, c) -> None:
     """Raise ``SingularSylvesterError`` unless every item of the batch has
-    ``||m X + X n^T + c|| <= tol * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
-    (Frobenius norms, ``tol`` floored at 100 machine epsilons): a solution
-    of a nearly singular operator misses its own equation."""
+    ``||m X + X n^T + c|| <= DEFAULT_TOL * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
+    (Frobenius norms): a solution of a nearly singular operator misses its
+    own equation."""
     def fro(y):
         return np.sqrt(np.einsum("...ij,...ij->...", y, y))
 
     ratio = fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
         1e-30, 0.5 * (fro(m) + fro(n)) * fro(x) + fro(c))
-    if np.any(ratio > max(tol, 100 * np.finfo(float).eps)):
+    if np.any(ratio > DEFAULT_TOL):
         raise SingularSylvesterError(
             f"Sylvester operator nearly singular: relative residual {float(np.max(ratio)):.3e}")
 
 
-def lyap_solve(m, c, tol: float = DEFAULT_TOL) -> np.ndarray:
+def lyap_solve(m, c) -> np.ndarray:
     """Symmetric solution X of the Lyapunov equation ``m X + X m^T + c = 0``
     for square m and symmetric c, unique when no two eigenvalues of m sum
     to zero (any Hurwitz m qualifies): one item of :func:`sylvester_solve`,
@@ -132,40 +132,11 @@ def lyap_solve(m, c, tol: float = DEFAULT_TOL) -> np.ndarray:
     c = check_symmetric(c, name="c")
     if c.shape != m.shape or m.shape[0] != m.shape[1]:
         raise ValueError(f"m must be square and match c: {m.shape} vs {c.shape}")
-    x = sylvester_solve(m, m, c, tol)
+    x = sylvester_solve(m, m, c)
     return 0.5 * (x + x.T)
 
 
-def _stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Bass-type stabilizing gain for (a, b), or None when none is found.
-
-    Solves ``(a + sigma I) Z + Z (a + sigma I)^T = 2 b b^T`` with the shift
-    sigma above the whole spectrum radius so the shifted matrix is
-    anti-Hurwitz, then returns ``K0 = b^T Z^{-1}``.  A small isotropic term
-    is added to the right-hand side when (a, b) is stabilizable but not
-    controllable; each candidate is verified by a spectrum check.
-    """
-    n = a.shape[0]
-    eye = np.eye(n)
-    base = float(np.linalg.norm(a, "fro")) + 1.0
-    bb = 2.0 * (b @ b.T)
-    bb_scale = max(1.0, float(np.linalg.norm(bb, "fro")))
-    for sigma in (base, 4.0 * base, 16.0 * base):
-        for eps in (0.0, 1e-10, 1e-6, 1e-2):
-            rhs = bb + eps * bb_scale * eye
-            try:
-                z = lyap_solve(a + sigma * eye, -rhs)
-            except SingularSylvesterError:
-                continue
-            if np.linalg.eigvalsh(z).min() <= 0.0:
-                continue
-            k0 = np.linalg.solve(z, b).T
-            if spectrum(a - b @ k0).spectral_abscissa < 0.0:
-                return k0
-    return None
-
-
-def are_solve(a, b, q0, gamma: float, tol: float = 1e-9, max_iter: int = 60) -> np.ndarray:
+def are_solve(a, b, q0, gamma: float) -> np.ndarray:
     """Stabilizing solution of ``a^T P + P a - gamma P b b^T P + q0 = 0``.
 
     Parameters
@@ -176,20 +147,23 @@ def are_solve(a, b, q0, gamma: float, tol: float = 1e-9, max_iter: int = 60) -> 
         Symmetric positive definite weight.
     gamma : float
         Positive scaling of the quadratic term.
-    tol : float
-        Relative residual bound for the returned solution.
 
     Returns
     -------
     P : ndarray
-        Symmetric positive definite, with ``a - gamma b b^T P`` Hurwitz.
+        Symmetric positive definite, with ``a - gamma b b^T P`` Hurwitz and a
+        relative residual within :data:`DEFAULT_TOL`.
 
     Notes
     -----
-    Newton-Kleinman iteration: each step solves the Lyapunov equation of the
-    current closed loop via :func:`lyap_solve`. The iteration is seeded with
-    the zero gain when ``a`` is Hurwitz and with a Bass-type shifted-Lyapunov
-    gain otherwise.
+    The seed is Laub's: the n eigenvectors ``[V1; V2]`` of the Hamiltonian
+    ``[[a, -gamma b b^T], [-q0, -a^T]]`` with eigenvalues in the open left
+    half-plane span the graph of the stabilizing solution, ``P0 = V2 V1^{-1}``.
+    Newton-Kleinman steps from the gain ``gamma b^T P0``, each a Lyapunov
+    equation of the current closed loop via :func:`lyap_solve`, polish it.
+    Raises ``NotStabilizableError`` when that subspace has the wrong
+    dimension or is not a graph over the state (V1 singular), and when the
+    polished solution is not stabilizing.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -206,12 +180,15 @@ def are_solve(a, b, q0, gamma: float, tol: float = 1e-9, max_iter: int = 60) -> 
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
 
-    if spectrum(a).spectral_abscissa < 0.0:
-        k = np.zeros((b.shape[1], n))
-    else:
-        k = _stabilizing_gain(a, b)
-        if k is None:
-            raise NotStabilizableError("no stabilizing gain found for (a, b)")
+    w, v = np.linalg.eig(np.block([[a, -gamma * (b @ b.T)], [-q0, -a.T]]))
+    v = v[:, w.real < 0.0]
+    if v.shape[1] != n:
+        raise NotStabilizableError(f"the Hamiltonian has {v.shape[1]} stable eigenvalues, not {n}")
+    try:
+        p = np.linalg.solve(v[:n].T, v[n:].T).T.real
+    except np.linalg.LinAlgError as exc:
+        raise NotStabilizableError("the Hamiltonian's stable subspace has a singular V1") from exc
+    k = gamma * (b.T @ (0.5 * (p + p.T)))
 
     def ricc_residual(p):
         return float(np.linalg.norm(a.T @ p + p @ a - gamma * p @ b @ b.T @ p + q0, "fro"))
@@ -224,8 +201,7 @@ def are_solve(a, b, q0, gamma: float, tol: float = 1e-9, max_iter: int = 60) -> 
             + float(np.linalg.norm(q0, "fro")),
         )
 
-    p = None
-    for it in range(max_iter):
+    for it in range(60):
         acl = a - b @ k
         try:
             p = lyap_solve(acl.T, q0 + (k.T @ k) / gamma)
@@ -238,13 +214,14 @@ def are_solve(a, b, q0, gamma: float, tol: float = 1e-9, max_iter: int = 60) -> 
             break
         # quadratic convergence bottoms out at the round-off floor; once the
         # residual is far inside tolerance there is nothing left to gain
-        if it >= 5 and ricc_residual(p) <= 1e-2 * tol * ricc_scale(p):
+        if it >= 5 and ricc_residual(p) <= 1e-2 * DEFAULT_TOL * ricc_scale(p):
             break
 
     residual = ricc_residual(p)
     scale = ricc_scale(p)
-    if residual > tol * scale:
-        raise NoConvergenceError(f"Riccati residual {residual:.3e} above {tol:g} * {scale:.3e}")
+    if residual > DEFAULT_TOL * scale:
+        raise NoConvergenceError(
+            f"Riccati residual {residual:.3e} above {DEFAULT_TOL:g} * {scale:.3e}")
     if spectrum(a - gamma * (b @ b.T) @ p).spectral_abscissa >= 0.0:
         raise NotStabilizableError("Riccati solution is not stabilizing")
     return 0.5 * (p + p.T)

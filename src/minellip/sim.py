@@ -87,6 +87,9 @@ def make_disturbance(
         if P is None:
             raise MissingEllipsoidError("worst_case disturbance needs an ellipsoid matrix P")
         P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] % plant.n:
+            raise DimensionMismatchError(
+                f"P must be square of a size divisible by n={plant.n}, got {P.shape}")
         P = 0.5 * (P + P.T)
         fallback = np.zeros(p_dim)
         fallback[0] = 1.0 / np.sqrt(float(plant.Q[0, 0]))
@@ -100,6 +103,8 @@ def make_disturbance(
         p_scale = float(np.linalg.norm(P, "fro"))
 
         def sampler(t, e):
+            if e.shape != (P.shape[0],):
+                raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
             v = channel @ e
             if float(np.linalg.norm(v)) <= 1e-12 * (1.0 + p_scale * float(np.linalg.norm(e))):
                 return state["prev"]
@@ -187,6 +192,10 @@ def simulate(
             f"x0 must hold {(n_followers + 1)} states of dimension {n}, got size {x0.size}"
         )
     x0 = x0.reshape(n_followers + 1, n)
+    if P is not None:
+        P = np.asarray(P, dtype=float)
+        if P.shape != (n_followers * n,) * 2:
+            raise DimensionMismatchError(f"P must be {(n_followers * n,) * 2}, got {P.shape}")
     lp = build_laplacian(topology)
     # One RK4 step maps the undisturbed error by Phi = p(dt A_cl), with
     # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so rho(Phi) = max |p(dt lambda)|
@@ -249,7 +258,6 @@ def simulate(
     controls = -(errors @ np.kron(lp.L_tilde, k).T) + np.tile(u0, n_followers)
     v = None
     if P is not None:
-        P = np.asarray(P, dtype=float)
         v = np.einsum("ti,ij,tj->t", errors, P, errors)
     return Trajectory(
         times=np.arange(n_steps + 1) * dt,

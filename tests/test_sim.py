@@ -49,9 +49,17 @@ def test_sinusoid_rejects_excessive_amplitudes(paper_plant):
                          angular_frequency=PAPER_FREQ)
 
 
-def test_worst_case_needs_p(paper_plant):
+def test_worst_case_needs_p(paper_plant, fig1_topology, paper_gain, paper_x0):
     with pytest.raises(MissingEllipsoidError):
         make_disturbance("worst_case", paper_plant)
+    # P must be square, of a size that stacks n = 2 follower states
+    for bad in (np.eye(5), np.ones((6, 4)), np.ones(6)):
+        with pytest.raises(DimensionMismatchError):
+            make_disturbance("worst_case", paper_plant, P=bad)
+    # a P for two followers refuses the three-follower error at the first draw
+    dist = make_disturbance("worst_case", paper_plant, P=np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
 
 
 def test_worst_case_samples_on_unit_sphere(paper_plant, paper_minimization):
@@ -102,11 +110,17 @@ def test_paper_example_converges_to_neighborhood(paper_plant, fig1_topology, pap
     assert np.abs(traj.errors[0]).max() == pytest.approx(1.0)
 
 
-def test_rejects_bad_dimensions(paper_plant, fig1_topology, paper_gain):
+def test_rejects_bad_dimensions(paper_plant, fig1_topology, paper_gain, paper_x0):
     dist = make_disturbance("none", paper_plant)
     with pytest.raises(DimensionMismatchError):
         simulate(paper_plant, fig1_topology, paper_gain, [0.0], np.zeros((3, 2)),
                  dist, 1.0, 1e-2)
+    # a V matrix of the wrong order is refused before any step is taken
+    never = make_disturbance("custom", paper_plant,
+                             sample=lambda t, e: pytest.fail("integrated before refusing P"))
+    with pytest.raises(DimensionMismatchError):
+        simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, never, 1.0, 1e-2,
+                 P=np.eye(5))
 
 
 def test_unstable_rk4_step_is_refused(paper_plant, fig1_topology, paper_gain, paper_x0):
