@@ -85,18 +85,18 @@ def check_invariant(
 
 
 def _log_golden_min(f, beta_max: float, rtol: float) -> float:
-    """Minimizer of a unimodal ``f`` on ``(0, beta_max)``: a 50-point
-    geometric grid on ``[1e-6, 1 - 1e-6] * beta_max`` brackets the best
-    point, then golden-section search in log beta narrows the bracket to
-    relative width ``rtol``, which means the same at any scale of the data."""
-    grid = np.geomspace(1e-6 * beta_max, (1.0 - 1e-6) * beta_max, 50)
-    i = int(np.argmin([f(b) for b in grid]))
-    a = np.log(grid[max(i - 1, 0)])
-    b = np.log(grid[min(i + 1, grid.size - 1)])
+    """Minimizer of a convex ``f`` on ``(0, beta_max)``: golden-section search
+    in log beta on ``[1e-6, 1 - 1e-6] * beta_max`` to relative width ``rtol``.
+    Convex in beta is unimodal in log beta, so no pre-scan is needed. The trace
+    ``tr X(b) = int_0^inf (e^{bt}/b) tr(e^{A_cl t} G e^{A_cl^T t}) dt`` is strictly
+    convex, as ``d^2/db^2 (e^{bt}/b) = e^{bt} ((bt - 1)^2 + 1) / b^3 > 0``, and
+    ``M0 + b P + P G P / b`` is matrix-convex, so ``find_beta``'s lambda_max is
+    convex (Boyd et al., *LMIs in System and Control Theory*, SIAM 1994)."""
+    a, b = np.log(1e-6 * beta_max), np.log((1.0 - 1e-6) * beta_max)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(float(np.exp(c))), f(float(np.exp(d)))
-    while (b - a) > max(rtol, 1e-12):
+    while (b - a) > rtol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -111,16 +111,13 @@ def _log_golden_min(f, beta_max: float, rtol: float) -> float:
 def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
     """Search for a multiplier beta > 0 certifying invariance of a given P.
 
-    Works on the Schur complement ``M0 + beta P + (1/beta) P G P`` with
-    ``G = (1_N (x) E) Q^{-1} (1_N (x) E)^T``, which is matrix-convex in beta
-    on beta > 0, so its maximum eigenvalue is unimodal and the feasible set
-    is an interval. A feasible beta makes ``P (A_cl + beta/2) + (.)^T <= 0``
-    with P > 0, so it lies in ``(0, beta_max]``, ``beta_max = -2
-    abscissa(A_cl)``: the search is ``minimize_trace``'s, on that bracket,
-    narrowed to relative width 1e-9. Its grid starts at ``1e-6 beta_max``,
-    so a P whose feasible multipliers all lie below that is reported as
-    having none. Returns a feasible beta, or None when no multiplier is
-    found (at once when A_cl is not Hurwitz).
+    Minimizes the largest eigenvalue of the Schur complement ``M0 + beta P + (1/beta) P G P``,
+    ``G = (1_N (x) E) Q^{-1} (1_N (x) E)^T``, convex in beta, so the feasible set is an
+    interval. A feasible beta makes ``P (A_cl + beta/2) + (.)^T <= 0`` with P > 0, so it lies
+    in ``(0, beta_max]``, ``beta_max = -2 abscissa(A_cl)``. The search is ``minimize_trace``'s,
+    to relative width 1e-9; a P whose feasible multipliers all lie below its bracket's
+    ``1e-6 beta_max`` is reported as having none. Returns a feasible beta, or None when no
+    multiplier is found (at once when A_cl is not Hurwitz).
     """
     P = matkit.check_symmetric(P, name="P")
     abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa
@@ -219,11 +216,9 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     """Minimize ``tr(X)`` (sum of squared semiaxes of the ellipsoid of
     ``P = X^{-1}``) over the one-parameter equality family.
 
-    A 50-point log-spaced pre-scan of ``(0, beta_max)`` brackets the
-    minimizer and golden-section search in log beta narrows it to relative
-    width 1e-8. The trace along the family is convex, so the bracket is
-    reliable. An evaluation solves only the N modal diagonal blocks,
-    ``tr X = sum_i tr X_ii``, O(N n^6); X* is assembled once, at beta*.
+    Golden-section search in log beta narrows beta* to relative width 1e-8; an
+    evaluation solves only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``,
+    O(N n^6), and X* is assembled once, at beta*.
     """
     modal, w, beta_max = _family_setup(plant, lp, k)
     beta_star = _log_golden_min(

@@ -18,6 +18,7 @@ import yaml
 
 from .errors import ConfigError, ToolkitError
 from .graph import Topology
+from .matkit import check_symmetric
 from .protocol import PlantModel
 
 _DISTURBANCE_KINDS = ("none", "sinusoid", "worst_case")
@@ -155,7 +156,11 @@ def from_dict(data: dict) -> ScenarioConfig:
 
         ellipsoid_P = None
         if "ellipsoid" in data and data["ellipsoid"]:
-            ellipsoid_P = _matrix(_require(data["ellipsoid"], "P", "ellipsoid"), "ellipsoid.P")
+            order = followers * plant.n
+            ellipsoid_P = check_symmetric(_require(data["ellipsoid"], "P", "ellipsoid"),
+                                          "ellipsoid.P")
+            if ellipsoid_P.shape != (order, order):
+                raise ConfigError(f"ellipsoid.P must be {order}x{order}, got {ellipsoid_P.shape}")
 
         return ScenarioConfig(
             plant=plant,

@@ -77,7 +77,7 @@ def make_disturbance(
         if amps.shape != (p_dim,):
             raise DimensionMismatchError(f"amplitudes must have length {p_dim}")
         peak = float(amps @ plant.Q @ amps)
-        if peak > 1.0 + BOUND_SLACK:
+        if not peak <= 1.0 + BOUND_SLACK:
             raise DisturbanceBoundViolatedError(
                 f"sinusoid peak violates the bound: amplitudes give {peak:.6g} > 1"
             )
@@ -221,7 +221,7 @@ def simulate(
         w = np.asarray(dist.sampler(t, e), dtype=float).ravel()
         if w.shape != (p_dim,):
             raise DimensionMismatchError(f"disturbance sample must have length {p_dim}")
-        if float(w @ q @ w) > 1.0 + BOUND_SLACK:
+        if not float(w @ q @ w) <= 1.0 + BOUND_SLACK:
             raise DisturbanceBoundViolatedError(
                 f"disturbance sample at t={t:.6g} violates the Q bound"
             )

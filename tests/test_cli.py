@@ -87,6 +87,26 @@ def test_simulate_unstable_step_exits_1(tmp_path, outdir):
     assert not (outdir / "paper_example1_trajectory.csv").exists()
 
 
+def test_simulate_nan_frequency_exits_1(tmp_path, outdir):
+    data = bundled_yaml("paper_example1")
+    data["disturbance"]["angular_frequency"] = float("nan")
+    path = tmp_path / "nan_frequency.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run("simulate", "--config", path, "--out", outdir, "--t-final", "0.5") == 1
+    assert not (outdir / "paper_example1_trajectory.csv").exists()
+
+
+def test_malformed_ellipsoid_p_exits_2(tmp_path, outdir, capsys):
+    data = bundled_yaml("paper_example1")
+    rng = np.random.default_rng(0)
+    for p in (np.eye(2), np.eye(6) + np.triu(rng.normal(size=(6, 6)), 1)):
+        data["ellipsoid"] = {"P": p.tolist()}
+        path = tmp_path / "bad_p.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert run("verify", "--config", path, "--out", outdir) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_options_only_on_the_subcommand_that_reads_them(outdir):
     config = ("--config", scenario.bundled_path("scalar_demo"), "--out", outdir)
     for argv in (("minimize", *config, "--dt", "0.1"),

@@ -21,7 +21,7 @@ from minellip import (
     simulate,
     worst_disturbance,
 )
-from minellip.ellipsoid import _disturbance_gramian_rhs
+from minellip.ellipsoid import _disturbance_gramian_rhs, _log_golden_min
 from minellip.errors import (
     BetaOutOfRangeError,
     DegenerateDirectionError,
@@ -253,17 +253,43 @@ def test_minimize_requires_hurwitz(paper_plant, fig1_laplacian):
 
 def test_trace_convex_along_family(paper_plant, fig1_laplacian, paper_gain,
                                    paper_minimization):
+    # the premise of the search: the family's trace and find_beta's objective
+    # lambda_max(M0 + beta P + P G P / beta) are convex in beta
     a_cl = closed_loop(paper_plant, fig1_laplacian, paper_gain)
     g = _disturbance_gramian_rhs(paper_plant, 3)
     beta_max = paper_minimization.beta_max
     grid = np.linspace(1e-3 * beta_max, (1 - 1e-3) * beta_max, 30)
-    values = []
-    for beta in grid:
-        shifted = a_cl + 0.5 * beta * np.eye(6)
-        values.append(np.trace(lyap_solve(shifted, g / beta)))
-    values = np.array(values)
-    second_diff = values[:-2] - 2 * values[1:-1] + values[2:]
-    assert second_diff.min() >= -1e-8 * max(1.0, np.abs(values).max())
+    objectives = [lambda beta: np.trace(lyap_solve(a_cl + 0.5 * beta * np.eye(6), g / beta))]
+    for scale in (1.0, 0.5, 2.0):
+        p = scale * paper_minimization.P_star
+        m0, pgp = p @ a_cl + a_cl.T @ p, p @ g @ p
+        objectives.append(lambda beta, p=p, m0=m0, pgp=pgp:
+                          np.linalg.eigvalsh(m0 + beta * p + pgp / beta)[-1])
+    for f in objectives:
+        values = np.array([f(beta) for beta in grid])
+        second_diff = values[:-2] - 2 * values[1:-1] + values[2:]
+        assert second_diff.min() >= -1e-8 * max(1.0, np.abs(values).max())
+
+
+def test_log_golden_min_convex_objectives():
+    # golden-section search needs no pre-scan on a convex objective: it finds
+    # the minimizer anywhere in [1e-6, 1 - 1e-6] * beta_max to relative width
+    # rtol, in a number of evaluations fixed by the bracket and rtol alone
+    beta_max, golden_ratio = 2.5, (1.0 + np.sqrt(5.0)) / 2.0
+    width = np.log((1 - 1e-6) / 1e-6)
+    for rtol, budget in ((1e-8, 46), (1e-9, 51)):
+        assert budget == int(np.ceil(np.log(width / rtol) / np.log(golden_ratio))) + 2
+        for frac in (3e-6, 1e-3, 0.3, 0.9, 1 - 3e-6):
+            beta0 = frac * beta_max
+            calls = []
+
+            def f(beta):
+                calls.append(beta)
+                return (np.log(beta) - np.log(beta0)) ** 2 + ((beta - beta0) / beta_max) ** 2
+
+            beta = _log_golden_min(f, beta_max, rtol)
+            assert abs(beta / beta0 - 1.0) <= rtol
+            assert len(calls) <= budget
 
 
 def test_minimizer_is_locally_optimal(paper_plant, fig1_laplacian, paper_gain,

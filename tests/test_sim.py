@@ -44,9 +44,11 @@ def test_sinusoid_peak_level(paper_plant):
 
 
 def test_sinusoid_rejects_excessive_amplitudes(paper_plant):
-    with pytest.raises(DisturbanceBoundViolatedError):
-        make_disturbance("sinusoid", paper_plant, amplitudes=[0.05, 0.02],
-                         angular_frequency=PAPER_FREQ)
+    # a NaN amplitude has no finite peak and must fail the bound as well
+    for amps in ([0.05, 0.02], [np.nan, 0.0]):
+        with pytest.raises(DisturbanceBoundViolatedError):
+            make_disturbance("sinusoid", paper_plant, amplitudes=amps,
+                             angular_frequency=PAPER_FREQ)
 
 
 def test_worst_case_needs_p(paper_plant, fig1_topology, paper_gain, paper_x0):
@@ -76,10 +78,11 @@ def test_none_is_zero(paper_plant):
 
 
 def test_custom_bound_enforced_online(scalar_plant, scalar_topology):
-    spec = make_disturbance("custom", scalar_plant, sample=lambda t, e: np.array([1.5]))
-    with pytest.raises(DisturbanceBoundViolatedError):
-        simulate(scalar_plant, scalar_topology, [[0.0]], [0.0], [[0.0], [1.0]],
-                 spec, 1.0, 1e-2)
+    for value in (1.5, np.nan):
+        spec = make_disturbance("custom", scalar_plant, sample=lambda t, e: np.array([value]))
+        with pytest.raises(DisturbanceBoundViolatedError):
+            simulate(scalar_plant, scalar_topology, [[0.0]], [0.0], [[0.0], [1.0]],
+                     spec, 1.0, 1e-2)
 
 
 # --- simulate ----------------------------------------------------------
