@@ -58,10 +58,10 @@ def _disturbance_gramian_rhs(plant: PlantModel, n_followers: int) -> np.ndarray:
 
 
 def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) -> np.ndarray:
-    """Assemble the symmetric block matrix of the invariance test."""
+    """Assemble the symmetric block matrix of the invariance test; P must be > 0."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    P = matkit.check_symmetric(P, name="P")
+    P = matkit.check_pd(P, name="P")
     a_cl = closed_loop(plant, lp, k)
     if P.shape != a_cl.shape:
         raise ValueError(f"P must be {a_cl.shape}, got {P.shape}")
@@ -117,9 +117,9 @@ def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
     in ``(0, beta_max]``, ``beta_max = -2 abscissa(A_cl)``. The search is ``minimize_trace``'s,
     to relative width 1e-9; a P whose feasible multipliers all lie below its bracket's
     ``1e-6 beta_max`` is reported as having none. Returns a feasible beta, or None when no
-    multiplier is found (at once when A_cl is not Hurwitz).
+    multiplier is found (at once when A_cl is not Hurwitz); ``ValueError`` unless P > 0.
     """
-    P = matkit.check_symmetric(P, name="P")
+    P = matkit.check_pd(P, name="P")
     abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa
     if abscissa >= 0.0:
         return None

@@ -232,3 +232,11 @@ def is_pd(s, tol: float = DEFAULT_TOL) -> bool:
     w = eig_sym(s)
     scale = 1.0 + float(np.abs(w).max())
     return bool(w.min() > tol * scale)
+
+
+def check_pd(s, name: str = "matrix") -> np.ndarray:
+    """:func:`check_symmetric`, and ``ValueError`` unless every eigenvalue is > 0."""
+    s = check_symmetric(s, name)
+    if not is_pd(s, tol=0.0):
+        raise ValueError(f"{name} must be positive definite")
+    return s

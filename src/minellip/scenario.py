@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigError, ToolkitError
 from .graph import Topology
-from .matkit import check_symmetric
+from .matkit import check_pd
 from .protocol import PlantModel
 
 _DISTURBANCE_KINDS = ("none", "sinusoid", "worst_case")
@@ -157,8 +157,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         ellipsoid_P = None
         if "ellipsoid" in data and data["ellipsoid"]:
             order = followers * plant.n
-            ellipsoid_P = check_symmetric(_require(data["ellipsoid"], "P", "ellipsoid"),
-                                          "ellipsoid.P")
+            ellipsoid_P = check_pd(_require(data["ellipsoid"], "P", "ellipsoid"), "ellipsoid.P")
             if ellipsoid_P.shape != (order, order):
                 raise ConfigError(f"ellipsoid.P must be {order}x{order}, got {ellipsoid_P.shape}")
 

@@ -1,14 +1,18 @@
 """Fixed-step simulation of the perturbed multi-agent system.
 
-The leader state and the follower-minus-leader error are integrated together
-with classical fourth-order Runge-Kutta: ``sigma0' = A sigma0 + B u0`` and
-``e' = A_cl e + (1_N (x) E) omega``, the same error system the ellipsoid
-certificates are stated for. Follower states are recovered as
-``e + 1_N (x) sigma0``. Time-dependent disturbances are sampled at the stage
-times; the worst-case (state-feedback) disturbance is evaluated once per
-step from the current error and held constant across the stages, a
-piecewise-constant realization that keeps the integrated vector field
-smooth within each step.
+The leader ``sigma0' = A sigma0 + B u0`` and the follower-minus-leader error
+``e' = A_cl e + (1_N (x) E) omega``, the error system the ellipsoid
+certificates are stated for, are integrated separately with classical RK4;
+follower states are ``e + 1_N (x) sigma0``. With the forcing held at each
+stage, one RK4 step of ``s' = M s + D w`` is exactly the affine map
+``s+ = Phi s + G_a w_a + G_b w_b + G_c w_c``, ``Phi = p(hM)`` the RK4
+stability polynomial (Hairer, Norsett & Wanner, *Solving ODEs I*), built
+once per run. ``none`` and ``sinusoid`` disturbances do not read the error
+and are sampled at every stage time in one call per run, so a step is one
+matrix-vector product plus one add; custom samplers are drawn at each stage;
+the worst-case (state-feedback) disturbance is drawn once per step from the
+current error and held across its stages, a piecewise-constant realization
+that keeps the integrated vector field smooth within each step.
 """
 
 from __future__ import annotations
@@ -35,14 +39,13 @@ BOUND_SLACK = 1e-9
 class DisturbanceSpec:
     """A disturbance source: kind tag plus a sampler ``(t, e) -> omega``.
 
-    ``per_step`` marks state-feedback samplers that are held constant within
-    an integration step. The simulator checks every drawn sample against the
-    quadratic bound regardless of kind.
+    The kind sets when the simulator draws (see the module docstring); the
+    ``none`` and ``sinusoid`` samplers take an array of times and return one
+    row per time. Every sample is checked against the quadratic bound.
     """
 
     kind: str
     sampler: Callable[[float, np.ndarray], np.ndarray]
-    per_step: bool = False
 
 
 def make_disturbance(
@@ -68,8 +71,7 @@ def make_disturbance(
     """
     p_dim = plant.p
     if kind == "none":
-        zero = np.zeros(p_dim)
-        return DisturbanceSpec(kind, lambda t, e: zero)
+        return DisturbanceSpec(kind, lambda t, e: np.zeros(np.shape(t) + (p_dim,)))
     if kind == "sinusoid":
         if amplitudes is None or angular_frequency is None:
             raise ValueError("sinusoid needs amplitudes and angular_frequency")
@@ -82,7 +84,7 @@ def make_disturbance(
                 f"sinusoid peak violates the bound: amplitudes give {peak:.6g} > 1"
             )
         w = float(angular_frequency)
-        return DisturbanceSpec(kind, lambda t, e: amps * np.sin(w * t))
+        return DisturbanceSpec(kind, lambda t, e: np.multiply.outer(np.sin(w * t), amps))
     if kind == "worst_case":
         if P is None:
             raise MissingEllipsoidError("worst_case disturbance needs an ellipsoid matrix P")
@@ -106,14 +108,14 @@ def make_disturbance(
             if e.shape != (P.shape[0],):
                 raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
             v = channel @ e
-            if float(np.linalg.norm(v)) <= 1e-12 * (1.0 + p_scale * float(np.linalg.norm(e))):
+            if np.sqrt(v @ v) <= 1e-12 * (1.0 + p_scale * np.sqrt(e @ e)):
                 return state["prev"]
             y = q_inv @ v
             w = y / np.sqrt(float(v @ y))
             state["prev"] = w
             return w
 
-        return DisturbanceSpec(kind, sampler, per_step=True)
+        return DisturbanceSpec(kind, sampler)
     if kind == "custom":
         if sample is None:
             raise ValueError("custom disturbance needs a sample function")
@@ -159,7 +161,7 @@ def simulate(
     dt: float,
     P=None,
 ) -> Trajectory:
-    """Integrate the leader and the error closed loop with RK4.
+    """Integrate the leader and the error closed loop with the affine RK4 step map.
 
     Parameters
     ----------
@@ -168,8 +170,8 @@ def simulate(
     x0 : array (N+1, n)
         Initial states, leader first.
     dist : DisturbanceSpec
-        Shared follower disturbance; samples are checked against the Q
-        bound (``omega^T Q omega <= 1``) as they are drawn.
+        Shared follower disturbance: ``none``/``sinusoid`` sampled once per run, ``worst_case``
+        once per step, others per stage; every sample must satisfy ``omega^T Q omega <= 1``.
     P : optional (nN, nN) array
         When given, ``V = e^T P e`` is recorded alongside the trajectory.
 
@@ -197,77 +199,88 @@ def simulate(
         if P.shape != (n_followers * n,) * 2:
             raise DimensionMismatchError(f"P must be {(n_followers * n,) * 2}, got {P.shape}")
     lp = build_laplacian(topology)
-    # One RK4 step maps the undisturbed error by Phi = p(dt A_cl), with
-    # p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so rho(Phi) = max |p(dt lambda)|
-    # over the eigenvalues of the modal blocks of A_cl.
+    # rho(Phi) = max |p(dt lambda)| over the eigenvalues of the modal blocks of
+    # A_cl, with p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (see _rk4_step_map)
     spec = modal_form(plant, lp, k).spectrum
     z = dt * spec.eigenvalues
     rho = float(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))).max())
     if spec.spectral_abscissa < 0.0 and rho >= 1.0:
         raise UnstableStepError(f"dt={dt:g} is outside the RK4 stability region of the Hurwitz "
                                 f"error closed loop: step map spectral radius {rho:.6g} >= 1")
-    # State [sigma0; e] under diag(A, A_cl), driven by [B u0; (1_N (x) E) omega].
-    dim = (n_followers + 1) * n
-    system = np.zeros((dim, dim))
-    system[:n, :n] = plant.A
-    system[n:, n:] = closed_loop(plant, lp, k)
-    dist_map = np.zeros((dim, p_dim))
-    dist_map[n:] = disturbance_channel(plant, n_followers)
-    bu = np.zeros(dim)
-    bu[:n] = plant.B @ u0
-    q = plant.Q
-
-    def draw(t: float, e: np.ndarray) -> np.ndarray:
-        w = np.asarray(dist.sampler(t, e), dtype=float).ravel()
-        if w.shape != (p_dim,):
-            raise DimensionMismatchError(f"disturbance sample must have length {p_dim}")
-        if not float(w @ q @ w) <= 1.0 + BOUND_SLACK:
-            raise DisturbanceBoundViolatedError(
-                f"disturbance sample at t={t:.6g} violates the Q bound"
-            )
-        return w
-
     n_steps = int(np.floor(t_final / dt + 1e-9))
-    states = np.empty((n_steps + 1, dim))
-    samples = np.empty((n_steps + 1, p_dim))
-    s = np.concatenate([x0[0], (x0[1:] - x0[0]).ravel()])
-    states[0] = s
-    half = 0.5 * dt
-    for step in range(n_steps):
-        t = step * dt
-        w_a = draw(t, s[n:])
-        if dist.per_step:
-            w_b = w_c = w_a
-        else:
-            w_b = draw(t + half, s[n:])
-            w_c = draw(t + dt, s[n:])
-        samples[step] = w_a
-        d_a = bu + dist_map @ w_a
-        d_b = bu + dist_map @ w_b
-        d_c = bu + dist_map @ w_c
-        k1 = system @ s + d_a
-        k2 = system @ (s + half * k1) + d_b
-        k3 = system @ (s + half * k2) + d_b
-        k4 = system @ (s + dt * k3) + d_c
-        s = s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        states[step + 1] = s
-    samples[n_steps] = draw(n_steps * dt, s[n:])
+    open_loop = dist.kind in ("none", "sinusoid")
+    if open_loop:  # all samples, at t_0, t_0 + dt/2, t_1, ..., t_T, checked before any step
+        stage_times = np.arange(2 * n_steps + 1) * (0.5 * dt)
+        w = _admissible(dist.sampler(stage_times, None), stage_times, plant.Q)
+    phi, g = _rk4_step_map(closed_loop(plant, lp, k), disturbance_channel(plant, n_followers), dt)
+    # the leader is autonomous in y = [sigma0; 1], y' = [[A, B u0], [0, 0]] y; the
+    # rows m .. 2m-1 of its orbit are the rows 0 .. m-1 mapped by Psi^m
+    leader_system = np.block([[plant.A, (plant.B @ u0)[:, None]], [np.zeros((1, n + 1))]])
+    psi = _rk4_step_map(leader_system, np.zeros((n + 1, 0)), dt)[0]
+    leader = np.append(x0[0], 1.0)[None, :]
+    while len(leader) <= n_steps:
+        leader = np.vstack([leader, leader[: n_steps + 1 - len(leader)] @ psi.T])
+        psi = psi @ psi
+    times = np.arange(n_steps + 1) * dt
+    errors = np.empty((n_steps + 1, n_followers * n))
+    errors[0] = (x0[1:] - x0[0]).ravel()
+    if open_loop:  # w_c of a step is w_a of the next
+        samples = w[0::2]
+        np.matmul(np.hstack([w[:-1:2], w[1::2], w[2::2]]), g.T, out=errors[1:])
+        for prev, e in zip(errors[:-1], errors[1:]):
+            e += np.dot(phi, prev)
+    else:
+        samples = np.empty((n_steps + 1, p_dim))
+        offsets = np.array([0.0, 0.5 * dt, dt])
+        if dist.kind == "worst_case":  # held over the step: forcing map G_a + G_b + G_c
+            offsets, g = offsets[:1], g.reshape(-1, 3, p_dim).sum(axis=1)
+        for step, e in enumerate(errors[:-1]):
+            stage_t = times[step] + offsets
+            draws = np.concatenate([np.ravel(dist.sampler(s, e)) for s in stage_t])
+            w = _admissible(draws, stage_t, plant.Q).ravel()
+            samples[step] = w[:p_dim]
+            errors[step + 1] = np.dot(phi, e) + np.dot(g, w)
+        samples[-1:] = _admissible(dist.sampler(times[-1], errors[-1]), times[-1:], plant.Q)
 
-    leader = states[:, :n]
-    errors = states[:, n:]
-    controls = -(errors @ np.kron(lp.L_tilde, k).T) + np.tile(u0, n_followers)
+    controls = -(lp.L_tilde @ errors.reshape(-1, n_followers, n) @ k.T).reshape(len(times), -1)
     v = None
     if P is not None:
         v = np.einsum("ti,ij,tj->t", errors, P, errors)
     return Trajectory(
-        times=np.arange(n_steps + 1) * dt,
-        leader_states=leader,
-        follower_states=errors + np.tile(leader, (1, n_followers)),
+        times=times,
+        leader_states=leader[:, :n],
+        follower_states=errors + np.tile(leader[:, :n], (1, n_followers)),
         errors=errors,
-        controls=controls,
+        controls=controls + np.tile(u0, n_followers),
         disturbances=samples,
         V=v,
     )
+
+
+def _rk4_step_map(m: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi = p(hM)`` and ``[G_a, G_b, G_c]``: one RK4 step of ``s' = M s + D w`` with ``w``
+    held at ``w_a, w_b, w_b, w_c`` over its stages is ``Phi s + G_a w_a + G_b w_b + G_c w_c``."""
+    hm = h * m
+    eye = np.eye(len(m))
+    phi = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
+    d1 = hm @ d
+    d2 = hm @ d1
+    g = [d + d1 + d2 / 2.0 + hm @ d2 / 4.0, 4.0 * d + 2.0 * d1 + d2 / 2.0, d]
+    return phi, h / 6.0 * np.hstack(g)
+
+
+def _admissible(w, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Samples drawn at the times ``t``, one row each. Raises unless each has length p
+    and ``w^T Q w <= 1`` up to ``BOUND_SLACK``; a NaN sample fails."""
+    w = np.asarray(w, dtype=float)
+    if w.size != len(t) * len(q):
+        raise DimensionMismatchError(f"disturbance sample must have length {len(q)}")
+    w = w.reshape(len(t), len(q))
+    inside = np.einsum("ti,ij,tj->t", w, q, w) <= 1.0 + BOUND_SLACK
+    if not inside.all():
+        raise DisturbanceBoundViolatedError(
+            f"disturbance sample at t={t[~inside][0]:.6g} violates the Q bound")
+    return w
 
 
 def metrics(traj: Trajectory, window_fraction: float = 0.5) -> ErrorMetrics:

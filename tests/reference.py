@@ -1,14 +1,16 @@
 """Reference implementations that the tests compare the package against.
 
-They restate the protocol agent by agent, the Laplacian spectrum relation
-and two small matrix helpers; the package itself needs none of them.
+They restate the protocol agent by agent, the Laplacian spectrum relation,
+stage-by-stage RK4 and two small matrix helpers; the package itself needs
+none of them.
 """
 
 import numpy as np
 
 from minellip import matkit
 from minellip.errors import DimensionMismatchError
-from minellip.protocol import check_gain, closed_loop
+from minellip.graph import build_laplacian
+from minellip.protocol import check_gain, closed_loop, disturbance_channel
 
 
 def kron(a, b) -> np.ndarray:
@@ -97,3 +99,59 @@ def error_rhs(plant, lp, k, e, omega) -> np.ndarray:
     if omega.shape != (plant.p,):
         raise DimensionMismatchError(f"omega must have length {plant.p}, got {omega.shape}")
     return closed_loop(plant, lp, k) @ e + np.tile(plant.E @ omega, n_followers)
+
+
+def rk4_stage_loop(plant, topology, k, u0, x0, dist, t_final, dt):
+    """Stage-by-stage RK4 of ``[sigma0; e]`` under ``diag(A, A_cl)``.
+
+    Four products with the stacked system matrix per step; a sampler is drawn
+    at ``t``, ``t + dt/2`` and ``t + dt`` from the error at the start of the
+    step, or once at ``t`` and held when ``dist.kind == "worst_case"``.
+    Returns the leader states, the errors and the samples drawn at the grid
+    times ``j dt``.
+    """
+    k = check_gain(plant, k)
+    n, p_dim = plant.n, plant.p
+    n_followers = topology.follower_count
+    lp = build_laplacian(topology)
+    dim = (n_followers + 1) * n
+    system = np.zeros((dim, dim))
+    system[:n, :n] = plant.A
+    system[n:, n:] = closed_loop(plant, lp, k)
+    dist_map = np.zeros((dim, p_dim))
+    dist_map[n:] = disturbance_channel(plant, n_followers)
+    bu = np.zeros(dim)
+    bu[:n] = plant.B @ np.atleast_1d(np.asarray(u0, dtype=float))
+
+    def draw(t, e):
+        w = np.asarray(dist.sampler(t, e), dtype=float).ravel()
+        assert w.shape == (p_dim,) and float(w @ plant.Q @ w) <= 1.0 + 1e-9
+        return w
+
+    n_steps = int(np.floor(t_final / dt + 1e-9))
+    states = np.empty((n_steps + 1, dim))
+    samples = np.empty((n_steps + 1, p_dim))
+    x0 = np.asarray(x0, dtype=float).reshape(n_followers + 1, n)
+    s = np.concatenate([x0[0], (x0[1:] - x0[0]).ravel()])
+    states[0] = s
+    half = 0.5 * dt
+    for step in range(n_steps):
+        t = step * dt
+        w_a = draw(t, s[n:])
+        if dist.kind == "worst_case":
+            w_b = w_c = w_a
+        else:
+            w_b = draw(t + half, s[n:])
+            w_c = draw(t + dt, s[n:])
+        samples[step] = w_a
+        d_a = bu + dist_map @ w_a
+        d_b = bu + dist_map @ w_b
+        d_c = bu + dist_map @ w_c
+        k1 = system @ s + d_a
+        k2 = system @ (s + half * k1) + d_b
+        k3 = system @ (s + half * k2) + d_b
+        k4 = system @ (s + dt * k3) + d_c
+        s = s + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        states[step + 1] = s
+    samples[n_steps] = draw(n_steps * dt, s[n:])
+    return states[:, :n], states[:, n:], samples

@@ -99,7 +99,9 @@ def test_simulate_nan_frequency_exits_1(tmp_path, outdir):
 def test_malformed_ellipsoid_p_exits_2(tmp_path, outdir, capsys):
     data = bundled_yaml("paper_example1")
     rng = np.random.default_rng(0)
-    for p in (np.eye(2), np.eye(6) + np.triu(rng.normal(size=(6, 6)), 1)):
+    # wrong order, not symmetric, then symmetric but not positive definite
+    for p in (np.eye(2), np.eye(6) + np.triu(rng.normal(size=(6, 6)), 1), np.zeros((6, 6)),
+              -np.eye(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])):
         data["ellipsoid"] = {"P": p.tolist()}
         path = tmp_path / "bad_p.yaml"
         path.write_text(yaml.safe_dump(data))

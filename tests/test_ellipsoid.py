@@ -144,6 +144,19 @@ def test_unstable_zero_gain_never_feasible(paper_plant, fig1_laplacian):
         assert find_beta(paper_plant, fig1_laplacian, zero_gain, p) is None
 
 
+NOT_PD = (np.zeros((6, 6)), -np.eye(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
+
+
+def test_not_positive_definite_p_is_refused(paper_plant, fig1_laplacian, paper_gain):
+    # {e : e'Pe <= 1} is no ellipsoid here: P = 0 gave beta = 3.7e-6 and a
+    # feasible certificate before P was required to be positive definite
+    for p in NOT_PD:
+        with pytest.raises(ValueError, match="positive definite"):
+            find_beta(paper_plant, fig1_laplacian, paper_gain, p)
+        with pytest.raises(ValueError, match="positive definite"):
+            check_invariant(paper_plant, fig1_laplacian, paper_gain, p, 1.0)
+
+
 # --- find_beta ----------------------------------------------------------
 
 def test_find_beta_unique_boundary_point(scalar_plant, scalar_laplacian, scalar_gain):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from minellip import (
+    DisturbanceSpec,
+    build_laplacian,
     design_gain,
     find_beta,
     make_disturbance,
@@ -75,6 +77,26 @@ def test_worst_case_samples_on_unit_sphere(paper_plant, paper_minimization):
 def test_none_is_zero(paper_plant):
     spec = make_disturbance("none", paper_plant)
     np.testing.assert_array_equal(spec.sampler(3.0, np.ones(6)), np.zeros(2))
+
+
+def test_vectorised_samples_refused_before_any_step(paper_plant, fig1_topology, paper_gain,
+                                                   paper_x0, monkeypatch):
+    import minellip.sim
+
+    # the error step map is built only after every open-loop sample passed
+    monkeypatch.setattr(minellip.sim, "closed_loop",
+                        lambda *a: pytest.fail("step map built before refusing a sample"))
+    amps = np.array(PAPER_AMPS)
+    for bad in (2.0 * amps, np.array([np.nan, 0.0])):
+        # admissible everywhere except at the final time t = 1
+        def sampler(t, e, bad=bad):
+            w = np.multiply.outer(np.sin(t), amps)
+            w[t == 1.0] = bad
+            return w
+
+        with pytest.raises(DisturbanceBoundViolatedError, match="t=1 "):
+            simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0,
+                     DisturbanceSpec("sinusoid", sampler), 1.0, 1e-2)
 
 
 def test_custom_bound_enforced_online(scalar_plant, scalar_topology):
@@ -178,6 +200,62 @@ def test_agent_states_match_agent_level_rk4(paper_plant, fig1_topology, paper_ga
     np.testing.assert_allclose(traj.leader_states, expected[:, 0], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(traj.follower_states, expected[:, 1:].reshape(len(expected), -1),
                                rtol=0.0, atol=1e-10)
+
+
+def oracle_cases(plant, n_followers, direction):
+    """Fresh ``none``, ``sinusoid``, error-reading ``custom`` and ``worst_case``
+    sources along a Q-unit ``direction``, for an error of ``n_followers`` agents."""
+    return [make_disturbance("none", plant),
+            make_disturbance("sinusoid", plant, amplitudes=0.9 * direction,
+                             angular_frequency=1.3),
+            make_disturbance("custom", plant,
+                             sample=lambda t, e: 0.9 * np.sin(2.0 * t + e[0]) * direction),
+            make_disturbance("worst_case", plant, P=np.eye(n_followers * plant.n))]
+
+
+@pytest.mark.parametrize("followers", [3, 10])
+def test_affine_step_matches_stage_loop(followers, paper_plant, fig1_topology, paper_gain,
+                                        paper_x0):
+    from reference import rk4_stage_loop
+    from test_graph import random_connected_topology
+
+    rng = np.random.default_rng(followers)
+    topology, k, x0 = fig1_topology, paper_gain, paper_x0
+    if followers != 3:
+        topology = random_connected_topology(rng, followers)
+        k = design_gain(paper_plant, build_laplacian(topology), gamma=10.0)
+        x0 = rng.normal(size=(followers + 1, 2))
+    u0 = [0.3]
+    direction = rng.normal(size=paper_plant.p)
+    direction /= np.sqrt(direction @ paper_plant.Q @ direction)
+    # each side gets its own sources: the worst-case sampler remembers its last sample
+    for dist, ref_dist in zip(oracle_cases(paper_plant, followers, direction),
+                              oracle_cases(paper_plant, followers, direction)):
+        traj = simulate(paper_plant, topology, k, u0, x0, dist, 2.0, 1e-3)
+        leader, errors, samples = rk4_stage_loop(paper_plant, topology, k, u0, x0, ref_dist,
+                                                 2.0, 1e-3)
+        for got, want in ((traj.errors, errors), (traj.leader_states, leader)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), dist.kind
+        if dist.kind in ("none", "sinusoid"):
+            np.testing.assert_array_equal(traj.disturbances, samples)
+        else:  # these read the error, which agrees to rounding
+            scale = np.abs(samples).max()
+            assert np.abs(traj.disturbances - samples).max() <= 1e-12 * scale, dist.kind
+
+
+def test_vectorised_and_per_stage_sampling_agree(paper_plant, fig1_topology, paper_gain,
+                                                 paper_minimization, paper_x0):
+    amps = np.array(PAPER_AMPS)
+    runs = [simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 10.0, 1e-3,
+                     P=paper_minimization.P_star)
+            for dist in (make_disturbance("sinusoid", paper_plant, amplitudes=amps,
+                                          angular_frequency=PAPER_FREQ),
+                         make_disturbance("custom", paper_plant,
+                                          sample=lambda t, e: amps * np.sin(PAPER_FREQ * t)))]
+    vectorised, per_stage = runs
+    for field in ("errors", "V", "disturbances"):
+        got, want = getattr(per_stage, field), getattr(vectorised, field)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), field
 
 
 def test_errors_do_not_depend_on_leader_offset(paper_plant, fig1_topology, paper_gain,
