@@ -235,14 +235,11 @@ def cmd_simulate(cfg, args) -> int:
     if traj.V is not None:
         blocks.append(traj.V[:, None])
     table = np.hstack(blocks)
-    np.savetxt(
-        out / f"{prefix}_trajectory.csv",
-        table,
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-        fmt="%.17g",
-    )
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(out / f"{prefix}_trajectory.csv", "w") as fh:  # np.savetxt(fmt="%.17g")'s bytes,
+        fh.write(",".join(header) + "\n")  # but one %-format per 2048 rows, not one per row
+        for block in np.split(table, range(2048, len(table), 2048)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     summary = {
         "disturbance": kind,
         "steady_window": [met.steady_window[0], met.steady_window[1]],

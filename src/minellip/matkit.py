@@ -172,11 +172,9 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
         raise ValueError(f"a must be square, got {a.shape}")
     if b.shape[0] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape}")
-    q0 = check_symmetric(q0, name="q0")
+    q0 = check_pd(q0, name="q0")
     if q0.shape != a.shape:
         raise ValueError(f"q0 must match a: {q0.shape} vs {a.shape}")
-    if not is_pd(q0):
-        raise ValueError("q0 must be positive definite")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
 

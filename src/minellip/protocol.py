@@ -41,11 +41,9 @@ class PlantModel:
             raise DimensionMismatchError(f"B must have {n} rows, got {self.B.shape}")
         if self.E.shape[0] != n:
             raise DimensionMismatchError(f"E must have {n} rows, got {self.E.shape}")
-        self.Q = matkit.check_symmetric(self.Q, name="Q")
+        self.Q = matkit.check_pd(self.Q, name="Q")
         if self.Q.shape != (self.p, self.p):
             raise DimensionMismatchError(f"Q must be {self.p}x{self.p}, got {self.Q.shape}")
-        if not matkit.is_pd(self.Q):
-            raise ValueError("Q must be positive definite")
         self.eta = float(self.eta)
         if self.eta <= 0.0:
             raise ValueError("eta must be positive")

@@ -9,14 +9,16 @@ stage, one RK4 step of ``s' = M s + D w`` is exactly the affine map
 stability polynomial (Hairer, Norsett & Wanner, *Solving ODEs I*), built
 once per run. ``none`` and ``sinusoid`` disturbances do not read the error
 and are sampled at every stage time in one call per run, so a step is one
-matrix-vector product plus one add; custom samplers are drawn at each stage;
+matrix-vector product plus one add. Custom samplers are drawn at each stage;
 the worst-case (state-feedback) disturbance is drawn once per step from the
 current error and held across its stages, a piecewise-constant realization
-that keeps the integrated vector field smooth within each step.
+that keeps the integrated vector field smooth within each step. Each of these
+samples is checked against the Q bound once, online, before it is used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,27 +95,24 @@ def make_disturbance(
             raise DimensionMismatchError(
                 f"P must be square of a size divisible by n={plant.n}, got {P.shape}")
         P = 0.5 * (P + P.T)
-        fallback = np.zeros(p_dim)
-        fallback[0] = 1.0 / np.sqrt(float(plant.Q[0, 0]))
-        state = {"prev": fallback}
+        prev = np.eye(p_dim)[0] / math.sqrt(float(plant.Q[0, 0]))
         # The sampler runs once per integration step, so the maps of the
         # growth-maximizing direction are precomputed: omega* solves
         # max <omega, (1_N (x) E)^T P e> over the Q-unit sphere.
-        n_followers = P.shape[0] // plant.n
-        channel = disturbance_channel(plant, n_followers).T @ P
+        channel = disturbance_channel(plant, P.shape[0] // plant.n).T @ P
         q_inv = np.linalg.inv(plant.Q)
         p_scale = float(np.linalg.norm(P, "fro"))
 
         def sampler(t, e):
-            if e.shape != (P.shape[0],):
+            nonlocal prev
+            if e.shape != P.shape[:1]:
                 raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
-            v = channel @ e
-            if np.sqrt(v @ v) <= 1e-12 * (1.0 + p_scale * np.sqrt(e @ e)):
-                return state["prev"]
-            y = q_inv @ v
-            w = y / np.sqrt(float(v @ y))
-            state["prev"] = w
-            return w
+            v = channel.dot(e)
+            if math.sqrt(v.dot(v)) <= 1e-12 * (1.0 + p_scale * math.sqrt(e.dot(e))):
+                return prev
+            y = q_inv.dot(v)
+            prev = y / math.sqrt(v.dot(y))
+            return prev
 
         return DisturbanceSpec(kind, sampler)
     if kind == "custom":
@@ -171,7 +170,8 @@ def simulate(
         Initial states, leader first.
     dist : DisturbanceSpec
         Shared follower disturbance: ``none``/``sinusoid`` sampled once per run, ``worst_case``
-        once per step, others per stage; every sample must satisfy ``omega^T Q omega <= 1``.
+        once per step, others per stage. Every sample must satisfy ``omega^T Q omega <= 1``;
+        a ``worst_case``/``custom`` one is checked once, online, before the step that uses it.
     P : optional (nN, nN) array
         When given, ``V = e^T P e`` is recorded alongside the trajectory.
 
@@ -229,18 +229,28 @@ def simulate(
         np.matmul(np.hstack([w[:-1:2], w[1::2], w[2::2]]), g.T, out=errors[1:])
         for prev, e in zip(errors[:-1], errors[1:]):
             e += np.dot(phi, prev)
-    else:
-        samples = np.empty((n_steps + 1, p_dim))
+    else:  # each sample is drawn into its row and checked before the step that uses it
+        def draw(t, e, out):
+            w = dist.sampler(t, e)
+            if np.size(w) != p_dim:  # refused, never repeated or cut to fit ``out``
+                raise DimensionMismatchError(f"disturbance sample must have length {p_dim}")
+            out.flat = w
+            if not out.dot(plant.Q.dot(out)) <= 1.0 + BOUND_SLACK:
+                raise DisturbanceBoundViolatedError(
+                    f"disturbance sample at t={t:.6g} violates the Q bound")
+
         offsets = np.array([0.0, 0.5 * dt, dt])
         if dist.kind == "worst_case":  # held over the step: forcing map G_a + G_b + G_c
             offsets, g = offsets[:1], g.reshape(-1, 3, p_dim).sum(axis=1)
-        for step, e in enumerate(errors[:-1]):
-            stage_t = times[step] + offsets
-            draws = np.concatenate([np.ravel(dist.sampler(s, e)) for s in stage_t])
-            w = _admissible(draws, stage_t, plant.Q).ravel()
-            samples[step] = w[:p_dim]
-            errors[step + 1] = np.dot(phi, e) + np.dot(g, w)
-        samples[-1:] = _admissible(dist.sampler(times[-1], errors[-1]), times[-1:], plant.Q)
+        stages = np.empty((n_steps + 1, len(offsets), p_dim))  # per step: w_a[, w_b, w_c]
+        for ts, e, e_next, ws, w in zip(times[:-1, None] + offsets, errors[:-1], errors[1:],
+                                        stages, stages.reshape(n_steps + 1, -1)):
+            for t, out in zip(ts, ws):
+                draw(t, e, out)
+            phi.dot(e, out=e_next)
+            e_next += g.dot(w)
+        draw(times[-1], errors[-1], stages[-1, 0])
+        samples = np.ascontiguousarray(stages[:, 0])
 
     controls = -(lp.L_tilde @ errors.reshape(-1, n_followers, n) @ k.T).reshape(len(times), -1)
     v = None
@@ -292,10 +302,7 @@ def metrics(traj: Trajectory, window_fraction: float = 0.5) -> ErrorMetrics:
     t_end = float(times[-1])
     t_start = t_end * (1.0 - window_fraction)
     start = int(np.searchsorted(times, t_start - 1e-12))
-    n_followers_times_n = traj.errors.shape[1]
-    n = traj.leader_states.shape[1]
-    n_followers = n_followers_times_n // n
-    peaks = np.abs(traj.errors[start:]).max(axis=0).reshape(n_followers, n)
+    peaks = np.abs(traj.errors[start:]).max(axis=0).reshape(-1, traj.leader_states.shape[1])
     entry_time = None
     if traj.V is not None:
         inside = np.nonzero(traj.V <= 1.0)[0]

@@ -142,6 +142,19 @@ def test_simulate_rerun_is_bit_identical(outdir, tmp_path):
     assert first == (other / "scalar_demo_trajectory.csv").read_bytes()
 
 
+@pytest.mark.parametrize("dt", ["0.001", "0.0002"])  # one block of rows, and three
+def test_simulate_csv_bytes_match_savetxt(dt, outdir, tmp_path):
+    assert run("simulate", "--config", scenario.bundled_path("paper_example1"),
+               "--out", outdir, "--t-final", "1", "--dt", dt) == 0
+    written = (outdir / "paper_example1_trajectory.csv").read_bytes()
+    # %.17g round-trips every double, so the parsed table is the one written
+    header = written.decode().split("\n", 1)[0]
+    table = np.loadtxt(outdir / "paper_example1_trajectory.csv", delimiter=",", skiprows=1)
+    np.savetxt(tmp_path / "ref.csv", table, delimiter=",", header=header, comments="",
+               fmt="%.17g")
+    assert written == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_simulate_paper_example_headers(outdir):
     code = run("simulate", "--config", scenario.bundled_path("paper_example1"),
                "--out", outdir, "--t-final", "1.0")

@@ -265,6 +265,16 @@ def test_are_matches_scipy_up_to_order_8():
     assert skipped <= 5
 
 
+def test_are_q0_at_any_scale(paper_plant):
+    q0 = 1e-12 * np.eye(2)
+    p = are_solve(paper_plant.A, paper_plant.B, q0, 1.0)
+    ref = scipy.linalg.solve_continuous_are(paper_plant.A, paper_plant.B, q0, np.eye(1))
+    np.testing.assert_allclose(p, ref, rtol=1e-9, atol=0.0)
+    for bad in (np.diag([1.0, 0.0]), np.diag([1e-12, -1e-15])):
+        with pytest.raises(ValueError, match="q0 must be positive definite"):
+            are_solve(paper_plant.A, paper_plant.B, bad, 1.0)
+
+
 def test_are_not_stabilizable():
     with pytest.raises(NotStabilizableError):
         are_solve([[1.0]], [[0.0]], [[1.0]], 1.0)

@@ -46,6 +46,16 @@ def test_plant_rejects_inconsistent_dims():
 def test_plant_rejects_indefinite_q():
     with pytest.raises(ValueError):
         PlantModel(A=[[0.0]], B=[[1.0]], E=[[1.0]], Q=[[-1.0]], eta=1.0)
+    for q in (np.diag([1.0, 0.0]), np.diag([1e-12, -1e-15])):
+        with pytest.raises(ValueError, match="Q must be positive definite"):
+            PlantModel(A=np.zeros((2, 2)), B=np.eye(2), E=np.eye(2), Q=q, eta=1.0)
+
+
+def test_plant_accepts_q_at_any_scale():
+    # definiteness does not depend on scale: the paper's Q times 1e-12 is still a bound
+    q = 1e-12 * np.diag([800.0, 4000.0])
+    plant = PlantModel(A=np.zeros((2, 2)), B=np.eye(2), E=np.eye(2), Q=q, eta=1.0)
+    np.testing.assert_array_equal(plant.Q, q)
 
 
 def test_closed_loop_zero_gain(paper_plant, fig1_laplacian):

@@ -74,6 +74,17 @@ def test_worst_case_samples_on_unit_sphere(paper_plant, paper_minimization):
         assert w @ paper_plant.Q @ w == pytest.approx(1.0, abs=1e-9)
 
 
+def test_worst_case_falls_back_to_previous_sample(paper_plant):
+    # with P = I the growth direction is Q^-1 (e_1 + e_2 + e_3) up to scale; an
+    # error whose follower errors cancel has none, and the last sample is held
+    spec = make_disturbance("worst_case", paper_plant, P=np.eye(6))
+    start = spec.sampler(0.0, np.zeros(6))
+    np.testing.assert_array_equal(start, [1.0 / np.sqrt(paper_plant.Q[0, 0]), 0.0])
+    w = spec.sampler(0.1, np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    np.testing.assert_allclose(w, [0.0, 1.0 / np.sqrt(paper_plant.Q[1, 1])], atol=1e-15)
+    np.testing.assert_array_equal(spec.sampler(0.2, np.array([1.0, 2.0, -1.0, -2.0, 0.0, 0.0])), w)
+
+
 def test_none_is_zero(paper_plant):
     spec = make_disturbance("none", paper_plant)
     np.testing.assert_array_equal(spec.sampler(3.0, np.ones(6)), np.zeros(2))
@@ -105,6 +116,53 @@ def test_custom_bound_enforced_online(scalar_plant, scalar_topology):
         with pytest.raises(DisturbanceBoundViolatedError):
             simulate(scalar_plant, scalar_topology, [[0.0]], [0.0], [[0.0], [1.0]],
                      spec, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+@pytest.mark.parametrize("onset", [0.37, 0.375])  # a grid time k dt and a mid-step stage time
+def test_custom_sample_refused_before_any_later_draw(bad, onset, paper_plant, fig1_topology,
+                                                     paper_gain, paper_x0):
+    # admissible before ``onset``, inadmissible from then on: the run must stop
+    # at the first inadmissible draw, naming its time, and draw nothing later
+    amps = np.array(PAPER_AMPS)
+    called = []
+
+    def sampler(t, e):
+        called.append(t)
+        return amps * (np.sin(t) if t < onset - 1e-3 else bad)
+
+    with pytest.raises(DisturbanceBoundViolatedError, match=f"t={onset:g} "):
+        simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0,
+                 DisturbanceSpec("custom", sampler), 1.0, 1e-2)
+    assert max(called) == pytest.approx(onset, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["custom", "worst_case"])
+def test_sample_of_wrong_length_is_refused(kind, paper_plant, fig1_topology, paper_gain,
+                                           paper_x0):
+    # p = 2: a length-1 sample must not broadcast, a length-3 one must not be cut
+    for bad in (np.array([0.01]), np.full(3, 0.01)):
+        dist = DisturbanceSpec(kind, lambda t, e, bad=bad: bad)
+        with pytest.raises(DimensionMismatchError, match="length 2"):
+            simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
+
+
+def test_worst_case_from_zero_error_starts_on_fallback(paper_plant, fig1_topology, paper_gain,
+                                                       paper_minimization):
+    from reference import rk4_stage_loop
+
+    # e0 = 0 gives no growth direction: the first sample is e_1 / sqrt(Q_11),
+    # after which the forced error picks the direction up
+    args = (paper_plant, fig1_topology, paper_gain, [0.2], np.tile([0.4, -0.1], (4, 1)))
+    traj = simulate(*args, make_disturbance("worst_case", paper_plant,
+                                            P=paper_minimization.P_star), 2.0, 1e-3)
+    leader, errors, samples = rk4_stage_loop(
+        *args, make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star), 2.0, 1e-3)
+    np.testing.assert_array_equal(traj.disturbances[0],
+                                  [1.0 / np.sqrt(paper_plant.Q[0, 0]), 0.0])
+    for got, want in ((traj.errors, errors), (traj.leader_states, leader),
+                      (traj.disturbances, samples)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- simulate ----------------------------------------------------------
