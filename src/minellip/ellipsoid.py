@@ -18,6 +18,7 @@ O(N^2 n^6 + (nN)^3) once for X*, where the stacked equation costs O((nN)^6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,6 @@ class MinimizationResult:
     P_star: np.ndarray
     trace_value: float
     beta_max: float
-
-
-def _disturbance_gramian_rhs(plant: PlantModel, n_followers: int) -> np.ndarray:
-    """The matrix ``(1_N (x) E) Q^{-1} (1_N (x) E)^T`` driving the family."""
-    ones_e = disturbance_channel(plant, n_followers)
-    g = ones_e @ np.linalg.solve(plant.Q, ones_e.T)
-    return 0.5 * (g + g.T)
 
 
 def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) -> np.ndarray:
@@ -125,8 +119,8 @@ def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
         return None
     a_cl = closed_loop(plant, lp, k)
     m0 = P @ a_cl + a_cl.T @ P
-    g = _disturbance_gramian_rhs(plant, lp.L_tilde.shape[0])
-    pgp = P @ g @ P
+    h = P @ disturbance_channel(plant, lp.L_tilde.shape[0])
+    pgp = h @ np.linalg.solve(plant.Q, h.T)
     pgp = 0.5 * (pgp + pgp.T)
 
     def schur_max_eig(beta: float) -> float:
@@ -159,20 +153,16 @@ def _diagonal_blocks(modal: ModalForm, w: np.ndarray, beta: float, reg: float = 
 
 def _family_at(plant: PlantModel, lp: LaplacianPair, k, modal: ModalForm, w: np.ndarray,
                beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """X(beta) and ``P = X^{-1}``: the modal blocks ``X_ij`` (i <= j, and
-    ``X_ji = X_ij^T``) of ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T +
-    c_i c_j W / beta = 0``, one row i per batched solve, rotated back by
-    ``U (x) I_n`` and checked against the stacked equation. P is inverted
-    before the rotation, where unreachable modes stay decoupled, so an
-    ill-conditioned X costs P no accuracy."""
+    """X(beta) and ``P = X^{-1}``: the N^2 modal blocks ``X_ij`` of
+    ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T + c_i c_j W / beta = 0`` in
+    one batched solve, rotated back by ``U (x) I_n`` and checked against the
+    stacked equation. P is inverted before the rotation, where unreachable
+    modes stay decoupled, so an ill-conditioned X costs P no accuracy."""
     n_followers, n = modal.blocks.shape[:2]
     shifted = modal.blocks + 0.5 * beta * np.eye(n)
-    y = np.empty((n_followers, n, n_followers, n))
-    for i in range(n_followers):
-        row = matkit.sylvester_solve(shifted[i], shifted[i:],
-                                     (modal.c[i] * modal.c[i:])[:, None, None] * w / beta)
-        y[i, :, i:] = row.transpose(1, 0, 2)
-        y[i + 1:, :, i] = row[1:].transpose(0, 2, 1)
+    y = matkit.sylvester_solve(shifted[:, None], shifted[None],
+                               np.multiply.outer(modal.c, modal.c)[:, :, None, None] * w / beta)
+    y = y.transpose(0, 2, 1, 3)
     ev = np.linalg.eigvalsh(y.reshape(n_followers * n, -1))
     reg = 0.0
     if ev.min() <= 1e-10 * max(ev.max(), 1e-300):
@@ -190,7 +180,7 @@ def _family_at(plant: PlantModel, lp: LaplacianPair, k, modal: ModalForm, w: np.
     eye = np.eye(x.shape[0])
     a_shift = closed_loop(plant, lp, k) + 0.5 * beta * eye
     matkit.check_residual(a_shift, a_shift, x,
-                          (_disturbance_gramian_rhs(plant, n_followers) + reg * eye) / beta)
+                          (np.tile(w, (n_followers, n_followers)) + reg * eye) / beta)
     p = u @ np.linalg.inv(y) @ u.T
     return 0.5 * (x + x.T), 0.5 * (p + p.T)
 
@@ -203,8 +193,8 @@ def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.
 
     Requires A_cl Hurwitz and ``0 < beta < -2 * abscissa(A_cl)``.
     ``P = X^{-1}`` then satisfies the invariance block test with equality of
-    its Schur complement. Solved as N(N+1)/2 modal Sylvester blocks of
-    order n: O(N^2 n^6 + (nN)^3).
+    its Schur complement. Solved as N^2 modal Sylvester blocks of order n
+    in one batched call: O(N^2 n^6 + (nN)^3).
     """
     modal, w, beta_max = _family_setup(plant, lp, k)
     if not 0.0 < beta < beta_max:
@@ -235,34 +225,49 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
 
 
 def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
-    """Input-norm certificate ``(L_tilde (x) K)^T (L_tilde (x) K) <= eta^2 P``,
-    tested as ``eta^2 P - R^T R >= -1e-7 (1 + ||eta^2 P - R^T R||_2)`` with
-    ``R = L_tilde (x) K``."""
+    """Input-norm certificate: the peak ``max_{e^T P e <= 1} ||R e||`` with
+    ``R = L_tilde (x) K`` is at most eta, tested as ``lambda_max(R P^{-1} R^T)
+    <= eta^2 (1 + 1e-7)`` through the Cholesky factor ``P = C C^T``. The margin
+    is relative to eta^2, so the largest eigenvalues of an ill-conditioned P
+    cannot loosen it. ``ValueError`` unless P > 0."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
+    chol = np.linalg.cholesky(matkit.check_pd(P, name="P"))
+    z = np.linalg.solve(chol, np.kron(lp.L_tilde, matkit.as_matrix(k, "K")).T)
+    return bool(np.linalg.eigvalsh(z.T @ z)[-1] <= eta**2 * (1.0 + 1e-7))
+
+
+def worst_case_law(P, plant: PlantModel):
+    """The map ``e -> omega*`` to the admissible disturbance that maximizes
+    the growth rate of ``e^T P e``, for a symmetric P of order nN:
+
+        omega* = Q^{-1} (1_N (x) E)^T P e / || Q^{-1/2} (1_N (x) E)^T P e ||,
+
+    with ``omega*^T Q omega* = 1``, or None where ``||(1_N (x) E)^T P e|| <=
+    1e-12 (1 + ||P||_F ||e||)``. Its operands are built once, so a simulation
+    can call it every step. ``NotSymmetricError`` unless P is symmetric."""
     P = matkit.check_symmetric(P, name="P")
-    r = np.kron(lp.L_tilde, matkit.as_matrix(k, "K"))
-    direct = eta**2 * P - r.T @ r
-    w = np.linalg.eigvalsh(0.5 * (direct + direct.T))
-    return bool(w.min() >= -1e-7 * (1.0 + float(np.abs(w).max())))
+    channel = disturbance_channel(plant, P.shape[0] // plant.n).T @ P
+    q_inv = np.linalg.inv(plant.Q)
+    p_scale = float(np.linalg.norm(P, "fro"))
+
+    def law(e: np.ndarray) -> np.ndarray | None:
+        v = channel.dot(e)
+        if math.sqrt(v.dot(v)) <= 1e-12 * (1.0 + p_scale * math.sqrt(e.dot(e))):
+            return None
+        y = q_inv.dot(v)
+        return y / math.sqrt(v.dot(y))
+
+    return law
 
 
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:
-    """Admissible disturbance maximizing the growth rate of ``e^T P e``:
-
-        omega* = Q^{-1} (1_N (x) E)^T P e / || Q^{-1/2} (1_N (x) E)^T P e ||
-
-    which satisfies ``omega*^T Q omega* = 1`` exactly. Raises
-    ``DegenerateDirectionError`` when ``(1_N (x) E)^T P e`` vanishes.
-    """
-    P = matkit.check_symmetric(P, name="P")
+    """:func:`worst_case_law` at ``e``; ``DegenerateDirectionError`` where the
+    direction degenerates, ``ValueError`` when e and P do not match."""
     e = np.asarray(e, dtype=float).ravel()
-    n_followers, rem = divmod(e.size, plant.n)
-    if rem != 0 or P.shape != (e.size, e.size):
-        raise ValueError(f"e of length {e.size} does not match P {P.shape} and n={plant.n}")
-    v = disturbance_channel(plant, n_followers).T @ (P @ e)
-    y = np.linalg.solve(plant.Q, v)
-    s = float(v @ y)
-    if s <= (1e-12 * (1.0 + float(np.linalg.norm(P @ e)))) ** 2:
+    if e.size % plant.n != 0 or np.shape(P) != (e.size, e.size):
+        raise ValueError(f"e of length {e.size} does not match P {np.shape(P)} and n={plant.n}")
+    omega = worst_case_law(P, plant)(e)
+    if omega is None:
         raise DegenerateDirectionError("P e is orthogonal to the disturbance channel")
-    return y / np.sqrt(s)
+    return omega

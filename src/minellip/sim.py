@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ellipsoid import worst_case_law
 from .errors import (
     DimensionMismatchError,
     DisturbanceBoundViolatedError,
@@ -65,8 +66,8 @@ def make_disturbance(
         ``"sinusoid"``: ``amplitudes * sin(angular_frequency * t)``; the
         amplitude vector must satisfy the Q bound, which is checked here
         since the supremum over time is attained at full swing.
-        ``"worst_case"``: the growth-maximizing direction recomputed from
-        the current error (requires ``P``); falls back to the previous
+        ``"worst_case"``: :func:`~minellip.ellipsoid.worst_case_law` at the
+        current error (requires a symmetric ``P``); falls back to the previous
         sample, or the first Q-unit basis direction at start, whenever the
         direction degenerates.
         ``"custom"``: user sampler, validated against the bound online.
@@ -94,24 +95,16 @@ def make_disturbance(
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] % plant.n:
             raise DimensionMismatchError(
                 f"P must be square of a size divisible by n={plant.n}, got {P.shape}")
-        P = 0.5 * (P + P.T)
+        law = worst_case_law(P, plant)
         prev = np.eye(p_dim)[0] / math.sqrt(float(plant.Q[0, 0]))
-        # The sampler runs once per integration step, so the maps of the
-        # growth-maximizing direction are precomputed: omega* solves
-        # max <omega, (1_N (x) E)^T P e> over the Q-unit sphere.
-        channel = disturbance_channel(plant, P.shape[0] // plant.n).T @ P
-        q_inv = np.linalg.inv(plant.Q)
-        p_scale = float(np.linalg.norm(P, "fro"))
 
         def sampler(t, e):
             nonlocal prev
             if e.shape != P.shape[:1]:
                 raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
-            v = channel.dot(e)
-            if math.sqrt(v.dot(v)) <= 1e-12 * (1.0 + p_scale * math.sqrt(e.dot(e))):
-                return prev
-            y = q_inv.dot(v)
-            prev = y / math.sqrt(v.dot(y))
+            omega = law(e)
+            if omega is not None:
+                prev = omega
             return prev
 
         return DisturbanceSpec(kind, sampler)
@@ -228,7 +221,7 @@ def simulate(
         samples = w[0::2]
         np.matmul(np.hstack([w[:-1:2], w[1::2], w[2::2]]), g.T, out=errors[1:])
         for prev, e in zip(errors[:-1], errors[1:]):
-            e += np.dot(phi, prev)
+            e += phi.dot(prev)
     else:  # each sample is drawn into its row and checked before the step that uses it
         def draw(t, e, out):
             w = dist.sampler(t, e)

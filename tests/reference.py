@@ -1,7 +1,7 @@
 """Reference implementations that the tests compare the package against.
 
 They restate the protocol agent by agent, the Laplacian spectrum relation,
-stage-by-stage RK4 and two small matrix helpers; the package itself needs
+stage-by-stage RK4, the disturbance Gramian and two small matrix helpers; the package itself needs
 none of them.
 """
 
@@ -76,6 +76,14 @@ def agent_rhs(plant, topology, k, states, u0, omega) -> np.ndarray:
     out[0] += plant.B @ np.atleast_1d(np.asarray(u0, dtype=float))
     out[1:] += u @ plant.B.T + plant.E @ omega
     return out
+
+
+def disturbance_gramian(plant, n_followers) -> np.ndarray:
+    """``G = (1_N (x) E) Q^{-1} (1_N (x) E)^T``, with the channel built by
+    ``np.kron`` rather than by the package."""
+    ones_e = np.kron(np.ones((n_followers, 1)), plant.E)
+    g = ones_e @ np.linalg.solve(plant.Q, ones_e.T)
+    return 0.5 * (g + g.T)
 
 
 def stacked_control(lp, k, e, u0) -> np.ndarray:

@@ -21,14 +21,16 @@ from minellip import (
     simulate,
     worst_disturbance,
 )
-from minellip.ellipsoid import _disturbance_gramian_rhs, _log_golden_min
+from minellip.ellipsoid import _log_golden_min
 from minellip.errors import (
     BetaOutOfRangeError,
     DegenerateDirectionError,
     NotHurwitzError,
+    NotSymmetricError,
 )
 from minellip.matkit import lyap_solve
 from minellip.protocol import modal_form
+from reference import disturbance_gramian
 
 
 def scalar_family_reference(beta):
@@ -229,7 +231,7 @@ def test_family_requires_hurwitz(paper_plant, fig1_laplacian):
 
 def test_family_paper_system_spd_with_residual(paper_plant, fig1_laplacian, paper_gain):
     a_cl = closed_loop(paper_plant, fig1_laplacian, paper_gain)
-    g = _disturbance_gramian_rhs(paper_plant, 3)
+    g = disturbance_gramian(paper_plant, 3)
     for beta in (0.5, 1.0, 1.9, 3.0):
         x = family_solution(paper_plant, fig1_laplacian, paper_gain, beta)
         w = np.linalg.eigvalsh(x)
@@ -269,7 +271,7 @@ def test_trace_convex_along_family(paper_plant, fig1_laplacian, paper_gain,
     # the premise of the search: the family's trace and find_beta's objective
     # lambda_max(M0 + beta P + P G P / beta) are convex in beta
     a_cl = closed_loop(paper_plant, fig1_laplacian, paper_gain)
-    g = _disturbance_gramian_rhs(paper_plant, 3)
+    g = disturbance_gramian(paper_plant, 3)
     beta_max = paper_minimization.beta_max
     grid = np.linspace(1e-3 * beta_max, (1 - 1e-3) * beta_max, 30)
     objectives = [lambda beta: np.trace(lyap_solve(a_cl + 0.5 * beta * np.eye(6), g / beta))]
@@ -397,6 +399,20 @@ def test_input_bound_paper_design(fig1_laplacian, paper_gain, paper_minimization
     assert check_input_bound(fig1_laplacian, paper_gain, paper_minimization.P_star, eta=50000.0)
 
 
+def test_input_bound_refuses_below_peak_input(fig1_laplacian, paper_gain, paper_minimization):
+    # the peak max_{e'P*e <= 1} ||(L_tilde (x) K) e|| from SciPy on X* = P*^-1;
+    # P* has cond 2.5e10, so a margin scaled by its largest eigenvalue would
+    # accept eta at half the peak
+    r = np.kron(fig1_laplacian.L_tilde, paper_gain)
+    peak = np.sqrt(scipy.linalg.eigvalsh(r @ paper_minimization.X_star @ r.T)[-1])
+    p_star = paper_minimization.P_star
+    for factor, holds in ((0.5, False), (0.999, False), (1.001, True), (2.0, True)):
+        assert check_input_bound(fig1_laplacian, paper_gain, p_star, factor * peak) is holds
+    for not_pd in (np.zeros((6, 6)), p_star - 1e3 * np.eye(6)):
+        with pytest.raises(ValueError):
+            check_input_bound(fig1_laplacian, paper_gain, not_pd, 2.0 * peak)
+
+
 def test_schur_and_direct_input_tests_agree(scalar_laplacian, fig1_laplacian):
     rng = np.random.default_rng(31)
     count = 0
@@ -461,6 +477,26 @@ def test_worst_direction_degenerate():
         worst_disturbance(np.eye(2), plant, np.array([0.0, 1.0]))
 
 
+def test_worst_case_sampler_and_worst_disturbance_share_one_law(paper_plant,
+                                                                 paper_minimization):
+    # bitwise-equal samples; at e = 0 the sampler holds its last sample where
+    # worst_disturbance raises; neither accepts a non-symmetric P
+    p_star = paper_minimization.P_star
+    spec = make_disturbance("worst_case", paper_plant, P=p_star)
+    for e in np.random.default_rng(23).normal(size=(200, 6)):
+        np.testing.assert_array_equal(spec.sampler(0.0, e),
+                                      worst_disturbance(p_star, paper_plant, e))
+    np.testing.assert_array_equal(spec.sampler(0.1, np.zeros(6)), spec.sampler(0.0, e))
+    with pytest.raises(DegenerateDirectionError):
+        worst_disturbance(p_star, paper_plant, np.zeros(6))
+    skew = p_star.copy()
+    skew[0, 1] += 1e-6 * np.abs(p_star).max()
+    with pytest.raises(NotSymmetricError):
+        make_disturbance("worst_case", paper_plant, P=skew)
+    with pytest.raises(NotSymmetricError):
+        worst_disturbance(skew, paper_plant, e)
+
+
 # --- Schur-complement agreement of the invariance test ---------------------
 
 def test_block_and_schur_feasibility_agree():
@@ -488,7 +524,7 @@ def test_block_and_schur_feasibility_agree():
         block = invariance_block(plant, lp, k, p_mat, beta)
         block_max = np.linalg.eigvalsh(block).max()
         a_cl = closed_loop(plant, lp, k)
-        gram = _disturbance_gramian_rhs(plant, n_followers)
+        gram = disturbance_gramian(plant, n_followers)
         schur = p_mat @ a_cl + a_cl.T @ p_mat + beta * p_mat + (p_mat @ gram @ p_mat) / beta
         schur_max = np.linalg.eigvalsh(0.5 * (schur + schur.T)).max()
         if abs(block_max) <= 1e-6 * (1 + abs(block_max)) or \
