@@ -21,7 +21,7 @@ from .ellipsoid import (
 from .errors import ConfigError, ToolkitError
 from .gainsynth import DesignResult, consensus_feasible, design_gain, optimize_gain
 from .graph import LaplacianPair, Topology, build_laplacian, has_spanning_tree
-from .matkit import SpectrumSummary, are_solve, eig_sym, is_pd, lyap_solve, spectrum
+from .matkit import SpectrumSummary, are_solve, eig_sym, lyap_solve, spectrum
 from .protocol import PlantModel, closed_loop
 from .sim import DisturbanceSpec, ErrorMetrics, Trajectory, make_disturbance, metrics, simulate
 
@@ -52,7 +52,6 @@ __all__ = [
     "find_beta",
     "has_spanning_tree",
     "invariance_block",
-    "is_pd",
     "lyap_solve",
     "make_disturbance",
     "metrics",

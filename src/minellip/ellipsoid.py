@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .errors import BetaOutOfRangeError, DegenerateDirectionError, NotHurwitzError
+from .errors import (
+    BetaOutOfRangeError,
+    DegenerateDirectionError,
+    DimensionMismatchError,
+    NotHurwitzError,
+)
 from .graph import LaplacianPair
 from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
 
@@ -52,13 +57,11 @@ class MinimizationResult:
 
 
 def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) -> np.ndarray:
-    """Assemble the symmetric block matrix of the invariance test; P must be > 0."""
+    """Symmetric block matrix of the invariance test; P must pass ``check_pd`` at order nN."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    P = matkit.check_pd(P, name="P")
+    P = matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0]
     a_cl = closed_loop(plant, lp, k)
-    if P.shape != a_cl.shape:
-        raise ValueError(f"P must be {a_cl.shape}, got {P.shape}")
     ones_e = disturbance_channel(plant, lp.L_tilde.shape[0])
     top = P @ a_cl + a_cl.T @ P + beta * P
     off = P @ ones_e
@@ -111,9 +114,9 @@ def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
     in ``(0, beta_max]``, ``beta_max = -2 abscissa(A_cl)``. The search is ``minimize_trace``'s,
     to relative width 1e-9; a P whose feasible multipliers all lie below its bracket's
     ``1e-6 beta_max`` is reported as having none. Returns a feasible beta, or None when no
-    multiplier is found (at once when A_cl is not Hurwitz); ``ValueError`` unless P > 0.
+    multiplier is found (at once when A_cl is not Hurwitz); P must pass ``check_pd`` at order nN.
     """
-    P = matkit.check_pd(P, name="P")
+    P = matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0]
     abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa
     if abscissa >= 0.0:
         return None
@@ -229,29 +232,35 @@ def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
     ``R = L_tilde (x) K`` is at most eta, tested as ``lambda_max(R P^{-1} R^T)
     <= eta^2 (1 + 1e-7)`` through the Cholesky factor ``P = C C^T``. The margin
     is relative to eta^2, so the largest eigenvalues of an ill-conditioned P
-    cannot loosen it. ``ValueError`` unless P > 0."""
+    cannot loosen it. P must pass :func:`~minellip.matkit.check_pd`, which yields C."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    chol = np.linalg.cholesky(matkit.check_pd(P, name="P"))
-    z = np.linalg.solve(chol, np.kron(lp.L_tilde, matkit.as_matrix(k, "K")).T)
+    r = np.kron(lp.L_tilde, matkit.as_matrix(k, "K"))
+    z = np.linalg.solve(matkit.check_pd(P, r.shape[1], "P")[1], r.T)
     return bool(np.linalg.eigvalsh(z.T @ z)[-1] <= eta**2 * (1.0 + 1e-7))
 
 
 def worst_case_law(P, plant: PlantModel):
     """The map ``e -> omega*`` to the admissible disturbance that maximizes
-    the growth rate of ``e^T P e``, for a symmetric P of order nN:
+    the growth rate of ``e^T P e``, for a P of order nN:
 
         omega* = Q^{-1} (1_N (x) E)^T P e / || Q^{-1/2} (1_N (x) E)^T P e ||,
 
     with ``omega*^T Q omega* = 1``, or None where ``||(1_N (x) E)^T P e|| <=
     1e-12 (1 + ||P||_F ||e||)``. Its operands are built once, so a simulation
-    can call it every step. ``NotSymmetricError`` unless P is symmetric."""
-    P = matkit.check_symmetric(P, name="P")
-    channel = disturbance_channel(plant, P.shape[0] // plant.n).T @ P
+    can call it every step. N is P's order over n and P must pass ``check_pd``;
+    ``DimensionMismatchError`` when n does not divide that order or e misses it."""
+    n_followers, rest = divmod(len(P), plant.n)
+    if rest:
+        raise DimensionMismatchError(f"P's order {len(P)} is not a multiple of n={plant.n}")
+    P = matkit.check_pd(P, n_followers * plant.n, "P")[0]
+    channel = disturbance_channel(plant, n_followers).T @ P
     q_inv = np.linalg.inv(plant.Q)
     p_scale = float(np.linalg.norm(P, "fro"))
 
     def law(e: np.ndarray) -> np.ndarray | None:
+        if e.shape != P.shape[:1]:
+            raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
         v = channel.dot(e)
         if math.sqrt(v.dot(v)) <= 1e-12 * (1.0 + p_scale * math.sqrt(e.dot(e))):
             return None
@@ -263,11 +272,8 @@ def worst_case_law(P, plant: PlantModel):
 
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:
     """:func:`worst_case_law` at ``e``; ``DegenerateDirectionError`` where the
-    direction degenerates, ``ValueError`` when e and P do not match."""
-    e = np.asarray(e, dtype=float).ravel()
-    if e.size % plant.n != 0 or np.shape(P) != (e.size, e.size):
-        raise ValueError(f"e of length {e.size} does not match P {np.shape(P)} and n={plant.n}")
-    omega = worst_case_law(P, plant)(e)
+    direction degenerates."""
+    omega = worst_case_law(P, plant)(np.asarray(e, dtype=float).ravel())
     if omega is None:
         raise DegenerateDirectionError("P e is orthogonal to the disturbance channel")
     return omega

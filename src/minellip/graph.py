@@ -72,6 +72,6 @@ def has_spanning_tree(lp: LaplacianPair) -> bool:
     """True when the graph has a spanning tree rooted at the leader,
     equivalently when L has exactly one zero eigenvalue. The leader row of L
     is zero, so ``eig(L) = {0} U eig(L_tilde)`` and the test is
-    ``lambda_min(L_tilde) > 1e-8 max(1, ||L||_F)``."""
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(lp.L, "fro")))
-    return bool(matkit.eig_sym(lp.L_tilde)[0] > tol)
+    ``lambda_min(L_tilde) > 1e-8 lambda_max(L_tilde)``, at any weight scale."""
+    w = matkit.eig_sym(lp.L_tilde)
+    return bool(w[0] > 1e-8 * w[-1])

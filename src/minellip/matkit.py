@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     NoConvergenceError,
     NotStabilizableError,
     NotSymmetricError,
@@ -22,13 +23,16 @@ from .errors import (
 )
 
 #: Relative tolerance of the numerical kernels: the Sylvester, Lyapunov and
-#: Riccati residual bounds and :func:`is_pd`'s default.
+#: Riccati residual bounds.
 DEFAULT_TOL = 1e-9
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float array and require finite entries."""
-    arr = np.asarray(a, dtype=float)
+    try:
+        arr = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -37,7 +41,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_symmetric(s, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry of ``s`` within ``1e-10 * max(1, ||s||_F)``.
+    """Validate symmetry of ``s`` within ``1e-10 * ||s||_F``, at any scale of s.
 
     Returns the exactly symmetrized matrix ``(s + s.T) / 2`` so downstream
     code can rely on bitwise symmetry.
@@ -45,8 +49,7 @@ def check_symmetric(s, name: str = "matrix") -> np.ndarray:
     s = as_matrix(s, name)
     if s.shape[0] != s.shape[1]:
         raise NotSymmetricError(f"{name} is not square: {s.shape}")
-    scale = max(1.0, float(np.linalg.norm(s, "fro")))
-    if float(np.linalg.norm(s - s.T, "fro")) > 1e-10 * scale:
+    if float(np.linalg.norm(s - s.T, "fro")) > 1e-10 * float(np.linalg.norm(s, "fro")):
         raise NotSymmetricError(f"{name} is not symmetric within relative tolerance 1e-10")
     return 0.5 * (s + s.T)
 
@@ -172,9 +175,7 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
         raise ValueError(f"a must be square, got {a.shape}")
     if b.shape[0] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape}")
-    q0 = check_pd(q0, name="q0")
-    if q0.shape != a.shape:
-        raise ValueError(f"q0 must match a: {q0.shape} vs {a.shape}")
+    q0 = check_pd(q0, n, "q0")[0]
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
 
@@ -225,16 +226,17 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def is_pd(s, tol: float = DEFAULT_TOL) -> bool:
-    """True when the minimum eigenvalue of symmetric ``s`` is > tol * scale."""
-    w = eig_sym(s)
-    scale = 1.0 + float(np.abs(w).max())
-    return bool(w.min() > tol * scale)
-
-
-def check_pd(s, name: str = "matrix") -> np.ndarray:
-    """:func:`check_symmetric`, and ``ValueError`` unless every eigenvalue is > 0."""
+def check_pd(s, order: int, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """The one gate for a symmetric positive definite operand (Q, q0, P):
+    ``DimensionMismatchError`` unless s is ``order x order``, then
+    :func:`check_symmetric`, then one Cholesky factorization, the
+    floating-point test of definiteness (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 10), with ``ValueError``
+    when it fails. Returns the symmetrized s and its lower Cholesky factor."""
+    if np.shape(s) != (order, order):
+        raise DimensionMismatchError(f"{name} must be {order}x{order}, got {np.shape(s)}")
     s = check_symmetric(s, name)
-    if not is_pd(s, tol=0.0):
-        raise ValueError(f"{name} must be positive definite")
-    return s
+    try:
+        return s, np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} must be positive definite") from exc

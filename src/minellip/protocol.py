@@ -41,9 +41,7 @@ class PlantModel:
             raise DimensionMismatchError(f"B must have {n} rows, got {self.B.shape}")
         if self.E.shape[0] != n:
             raise DimensionMismatchError(f"E must have {n} rows, got {self.E.shape}")
-        self.Q = matkit.check_pd(self.Q, name="Q")
-        if self.Q.shape != (self.p, self.p):
-            raise DimensionMismatchError(f"Q must be {self.p}x{self.p}, got {self.Q.shape}")
+        self.Q = matkit.check_pd(self.Q, self.p, "Q")[0]
         self.eta = float(self.eta)
         if self.eta <= 0.0:
             raise ValueError("eta must be positive")

@@ -18,8 +18,8 @@ import yaml
 
 from .errors import ConfigError, ToolkitError
 from .graph import Topology
-from .matkit import check_pd
-from .protocol import PlantModel
+from .matkit import as_matrix, check_pd
+from .protocol import PlantModel, check_gain
 
 _DISTURBANCE_KINDS = ("none", "sinusoid", "worst_case")
 
@@ -57,18 +57,6 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _matrix(value, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{name}' is not a numeric matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"'{name}' must be an array of row arrays, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"'{name}' contains non-finite entries")
-    return arr
-
-
 def from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed YAML mapping into a ScenarioConfig."""
     if not isinstance(data, dict):
@@ -76,15 +64,15 @@ def from_dict(data: dict) -> ScenarioConfig:
     try:
         plant_sec = _require(data, "plant", "scenario")
         plant = PlantModel(
-            A=_matrix(_require(plant_sec, "A", "plant"), "plant.A"),
-            B=_matrix(_require(plant_sec, "B", "plant"), "plant.B"),
-            E=_matrix(_require(plant_sec, "E", "plant"), "plant.E"),
-            Q=_matrix(_require(plant_sec, "Q", "plant"), "plant.Q"),
+            A=as_matrix(_require(plant_sec, "A", "plant"), "plant.A"),
+            B=as_matrix(_require(plant_sec, "B", "plant"), "plant.B"),
+            E=as_matrix(_require(plant_sec, "E", "plant"), "plant.E"),
+            Q=as_matrix(_require(plant_sec, "Q", "plant"), "plant.Q"),
             eta=float(_require(plant_sec, "eta", "plant")),
         )
 
         topo_sec = _require(data, "topology", "scenario")
-        adjacency = _matrix(_require(topo_sec, "adjacency", "topology"), "topology.adjacency")
+        adjacency = as_matrix(_require(topo_sec, "adjacency", "topology"), "topology.adjacency")
         followers = int(_require(topo_sec, "followers", "topology"))
         if adjacency.shape[0] != followers + 1:
             raise ConfigError(
@@ -98,9 +86,7 @@ def from_dict(data: dict) -> ScenarioConfig:
         if "K" in gain_sec and "synthesize" in gain_sec:
             raise ConfigError("gain section must give either K or synthesize, not both")
         if "K" in gain_sec:
-            gain = _matrix(gain_sec["K"], "gain.K")
-            if gain.shape != (plant.m, plant.n):
-                raise ConfigError(f"gain.K must be {plant.m}x{plant.n}, got {gain.shape}")
+            gain = check_gain(plant, gain_sec["K"])
         elif "synthesize" in gain_sec:
             syn = gain_sec["synthesize"] or {}
             synthesize = {}
@@ -110,7 +96,7 @@ def from_dict(data: dict) -> ScenarioConfig:
                     raise ConfigError("gain.synthesize.gamma_grid must hold positive values")
                 synthesize["gamma_grid"] = grid
             if "q0" in syn and syn["q0"] is not None:
-                synthesize["q0"] = _matrix(syn["q0"], "gain.synthesize.q0")
+                synthesize["q0"] = check_pd(syn["q0"], plant.n, "gain.synthesize.q0")[0]
         else:
             raise ConfigError("gain section needs K or synthesize")
 
@@ -128,7 +114,7 @@ def from_dict(data: dict) -> ScenarioConfig:
             )
 
         sim_sec = _require(data, "simulation", "scenario")
-        x0 = _matrix(_require(sim_sec, "x0", "simulation"), "simulation.x0")
+        x0 = as_matrix(_require(sim_sec, "x0", "simulation"), "simulation.x0")
         if x0.shape != (followers + 1, plant.n):
             raise ConfigError(
                 f"simulation.x0 must be {(followers + 1, plant.n)}, got {x0.shape}"
@@ -156,10 +142,8 @@ def from_dict(data: dict) -> ScenarioConfig:
 
         ellipsoid_P = None
         if "ellipsoid" in data and data["ellipsoid"]:
-            order = followers * plant.n
-            ellipsoid_P = check_pd(_require(data["ellipsoid"], "P", "ellipsoid"), "ellipsoid.P")
-            if ellipsoid_P.shape != (order, order):
-                raise ConfigError(f"ellipsoid.P must be {order}x{order}, got {ellipsoid_P.shape}")
+            ellipsoid_P = check_pd(_require(data["ellipsoid"], "P", "ellipsoid"),
+                                   followers * plant.n, "ellipsoid.P")[0]
 
         return ScenarioConfig(
             plant=plant,

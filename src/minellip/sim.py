@@ -32,6 +32,7 @@ from .errors import (
     UnstableStepError,
 )
 from .graph import Topology, build_laplacian
+from .matkit import check_pd
 from .protocol import PlantModel, check_gain, closed_loop, disturbance_channel, modal_form
 
 #: Slack accepted when validating disturbance samples against the Q bound.
@@ -67,7 +68,7 @@ def make_disturbance(
         amplitude vector must satisfy the Q bound, which is checked here
         since the supremum over time is attained at full swing.
         ``"worst_case"``: :func:`~minellip.ellipsoid.worst_case_law` at the
-        current error (requires a symmetric ``P``); falls back to the previous
+        current error (``P`` must pass that law's checks); falls back to the previous
         sample, or the first Q-unit basis direction at start, whenever the
         direction degenerates.
         ``"custom"``: user sampler, validated against the bound online.
@@ -91,17 +92,11 @@ def make_disturbance(
     if kind == "worst_case":
         if P is None:
             raise MissingEllipsoidError("worst_case disturbance needs an ellipsoid matrix P")
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] % plant.n:
-            raise DimensionMismatchError(
-                f"P must be square of a size divisible by n={plant.n}, got {P.shape}")
         law = worst_case_law(P, plant)
         prev = np.eye(p_dim)[0] / math.sqrt(float(plant.Q[0, 0]))
 
         def sampler(t, e):
             nonlocal prev
-            if e.shape != P.shape[:1]:
-                raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
             omega = law(e)
             if omega is not None:
                 prev = omega
@@ -166,7 +161,8 @@ def simulate(
         once per step, others per stage. Every sample must satisfy ``omega^T Q omega <= 1``;
         a ``worst_case``/``custom`` one is checked once, online, before the step that uses it.
     P : optional (nN, nN) array
-        When given, ``V = e^T P e`` is recorded alongside the trajectory.
+        When given, it must pass :func:`~minellip.matkit.check_pd`, and
+        ``V = e^T P e`` is recorded alongside the trajectory.
 
     Raises ``UnstableStepError`` when the error closed loop is Hurwitz but
     ``dt`` lies outside its RK4 stability region.
@@ -188,9 +184,7 @@ def simulate(
         )
     x0 = x0.reshape(n_followers + 1, n)
     if P is not None:
-        P = np.asarray(P, dtype=float)
-        if P.shape != (n_followers * n,) * 2:
-            raise DimensionMismatchError(f"P must be {(n_followers * n,) * 2}, got {P.shape}")
+        P = check_pd(P, n_followers * n, "P")[0]
     lp = build_laplacian(topology)
     # rho(Phi) = max |p(dt lambda)| over the eigenvalues of the modal blocks of
     # A_cl, with p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (see _rk4_step_map)

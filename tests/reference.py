@@ -1,8 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 They restate the protocol agent by agent, the Laplacian spectrum relation,
-stage-by-stage RK4, the disturbance Gramian and two small matrix helpers; the package itself needs
-none of them.
+stage-by-stage RK4, the disturbance Gramian and three small matrix helpers; the package itself
+needs none of them.
 """
 
 import numpy as np
@@ -16,6 +16,13 @@ from minellip.protocol import check_gain, closed_loop, disturbance_channel
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two real matrices."""
     return np.kron(matkit.as_matrix(a, "a"), matkit.as_matrix(b, "b"))
+
+
+def is_pd(s, tol: float = matkit.DEFAULT_TOL) -> bool:
+    """True when the minimum eigenvalue of symmetric ``s`` is > tol * scale."""
+    w = matkit.eig_sym(s)
+    scale = 1.0 + float(np.abs(w).max())
+    return bool(w.min() > tol * scale)
 
 
 def is_psd(s, tol: float = matkit.DEFAULT_TOL) -> bool:

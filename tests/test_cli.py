@@ -183,6 +183,17 @@ def test_design_command(outdir, tmp_path):
     assert np.asarray(summary["K"]).shape == (1, 2)
 
 
+def test_malformed_q0_exits_2(tmp_path, outdir, capsys):
+    data = bundled_yaml("paper_example1")
+    # wrong order, indefinite, then not symmetric
+    for q0 in ([[1.0]], [[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.0, 1.0]]):
+        data["gain"] = {"synthesize": {"gamma_grid": [1.0], "q0": q0}}
+        path = tmp_path / "bad_q0.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert run("design", "--config", path, "--out", outdir) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_report_collects_outputs(outdir):
     run("minimize", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir)
     assert run("report", "--config", scenario.bundled_path("scalar_demo"),

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 from scipy.optimize import minimize_scalar
 
 from minellip import (
@@ -15,22 +16,24 @@ from minellip import (
     family_solution,
     find_beta,
     invariance_block,
-    is_pd,
     make_disturbance,
     minimize_trace,
     simulate,
     worst_disturbance,
 )
 from minellip.ellipsoid import _log_golden_min
+from minellip import scenario
 from minellip.errors import (
     BetaOutOfRangeError,
+    ConfigError,
     DegenerateDirectionError,
+    DimensionMismatchError,
     NotHurwitzError,
     NotSymmetricError,
 )
 from minellip.matkit import lyap_solve
 from minellip.protocol import modal_form
-from reference import disturbance_gramian
+from reference import disturbance_gramian, is_pd
 
 
 def scalar_family_reference(beta):
@@ -157,6 +160,53 @@ def test_not_positive_definite_p_is_refused(paper_plant, fig1_laplacian, paper_g
             find_beta(paper_plant, fig1_laplacian, paper_gain, p)
         with pytest.raises(ValueError, match="positive definite"):
             check_invariant(paper_plant, fig1_laplacian, paper_gain, p, 1.0)
+
+
+#: Defective P matrices for the three-follower paper system (order 6), each
+#: built from P* and paired with the error every entry point must raise.
+BAD_P = (
+    ("zero", lambda p: np.zeros((6, 6)), ValueError),
+    ("minus_P*", lambda p: -p, ValueError),
+    ("indefinite", lambda p: np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]), ValueError),
+    ("P*+skew", lambda p: p + np.triu(np.full((6, 6), 1e-3 * np.abs(p).max()), 1),
+     NotSymmetricError),
+    ("I4", lambda p: np.eye(4), DimensionMismatchError),
+    ("I8", lambda p: np.eye(8), DimensionMismatchError),
+    ("ones", lambda p: np.ones((6, 6)), ValueError),
+)
+P_ENTRY_POINTS = ("scenario", "check_invariant", "find_beta", "check_input_bound",
+                  "worst_disturbance", "worst_case_sampler", "simulate")
+
+
+@pytest.mark.parametrize("entry", P_ENTRY_POINTS)
+@pytest.mark.parametrize("make_p, error", [b[1:] for b in BAD_P], ids=[b[0] for b in BAD_P])
+def test_every_p_entry_point_refuses_alike(entry, make_p, error, paper_plant, fig1_topology,
+                                           fig1_laplacian, paper_gain, paper_x0,
+                                           paper_minimization):
+    # one rule wherever P enters: not positive definite is a ValueError, not
+    # symmetric a NotSymmetricError, a wrong order a DimensionMismatchError
+    p = make_p(paper_minimization.P_star)
+    plant, lp, k, e = paper_plant, fig1_laplacian, paper_gain, np.ones(6)
+    match = "positive definite" if error is ValueError else None
+    if entry == "scenario":
+        data = yaml.safe_load(scenario.bundled_path("paper_example1").read_text())
+        data["ellipsoid"] = {"P": p.tolist()}
+        with pytest.raises(ConfigError, match=match) as exc:
+            scenario.from_dict(data)
+        assert isinstance(exc.value.__cause__, error)
+        return
+    calls = {
+        "check_invariant": lambda: check_invariant(plant, lp, k, p,
+                                                   paper_minimization.beta_star),
+        "find_beta": lambda: find_beta(plant, lp, k, p),
+        "check_input_bound": lambda: check_input_bound(lp, k, p, plant.eta),
+        "worst_disturbance": lambda: worst_disturbance(p, plant, e),
+        "worst_case_sampler": lambda: make_disturbance("worst_case", plant, P=p).sampler(0.0, e),
+        "simulate": lambda: simulate(plant, fig1_topology, k, [0.0], paper_x0,
+                                     make_disturbance("none", plant), 0.1, 1e-2, P=p),
+    }
+    with pytest.raises(error, match=match):
+        calls[entry]()
 
 
 # --- find_beta ----------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 from minellip import (
     Topology,
     build_laplacian,
+    consensus_feasible,
     eig_sym,
     has_spanning_tree,
+    minimize_trace,
 )
 from minellip.errors import InvalidTopologyError
 from minellip.graph import LaplacianPair
@@ -119,10 +121,23 @@ def test_random_connected_topologies():
         w = eig_sym(lp.L_tilde)
         assert w.min() >= -1e-10 * max(1.0, w.max())
         # spanning tree <=> smallest reduced eigenvalue positive
-        tol = 1e-8 * max(1.0, np.linalg.norm(lp.L, "fro"))
+        tol = 1e-8 * w.max()
         assert has_spanning_tree(lp) == (w.min() > tol)
         assert has_spanning_tree(lp)
         assert spectrum_relation_check(lp)
+
+
+def test_spanning_tree_at_any_weight_scale(paper_plant, fig1_topology, paper_gain):
+    # weights times 1e-9 and K times 1e9 give the same closed loop: the tree
+    # test must not depend on the weights' scale (an absolute floor would
+    # refuse this graph, whose lambda_min / lambda_max is 0.17)
+    lp = build_laplacian(fig1_topology)
+    small = build_laplacian(Topology(adjacency=1e-9 * fig1_topology.adjacency))
+    assert has_spanning_tree(small) and consensus_feasible(paper_plant, small)
+    ref = minimize_trace(paper_plant, lp, paper_gain)
+    scaled = minimize_trace(paper_plant, small, 1e9 * paper_gain)
+    assert scaled.beta_star == pytest.approx(ref.beta_star, rel=1e-7)
+    assert scaled.trace_value == pytest.approx(ref.trace_value, rel=1e-12)
 
 
 def test_deleting_leader_links_breaks_tree():

@@ -4,14 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minellip import are_solve, eig_sym, is_pd, lyap_solve, spectrum
-from minellip.matkit import sylvester_solve
+from minellip import are_solve, eig_sym, lyap_solve, spectrum
+from minellip.matkit import check_pd, check_symmetric, sylvester_solve
 from minellip.errors import (
     NotStabilizableError,
     NotSymmetricError,
     SingularSylvesterError,
 )
-from reference import is_psd, kron
+from reference import is_pd, is_psd, kron
 
 SQRT2 = np.sqrt(2.0)
 
@@ -75,6 +75,21 @@ def test_eig_sym_disturbance_weight():
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
         eig_sym([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_symmetry_and_definiteness_at_any_scale(paper_minimization):
+    # an asymmetry of 10 % of the norm is refused at 1e-12 as at 1; a tolerance
+    # with an absolute floor would accept the small copy and symmetrize it silently
+    skew = np.array([[2e-12, 2e-13], [0.0, 2e-12]])
+    for scale in (1.0, 1e12):
+        with pytest.raises(NotSymmetricError):
+            check_symmetric(scale * skew)
+    p_star = paper_minimization.P_star  # cond 2.5e10
+    for scale in (1e-12, 1.0, 1e12):
+        s, chol = check_pd(scale * p_star, 6, "P")
+        np.testing.assert_array_equal(s, scale * p_star)
+        np.testing.assert_allclose(chol @ chol.T, s, rtol=0.0,
+                                   atol=1e-12 * scale * np.abs(p_star).max())
 
 
 @settings(max_examples=60, deadline=None)
