@@ -90,30 +90,21 @@ def cmd_verify(cfg, args) -> int:
     lines.append(f"closed-loop spectral abscissa: {abscissa:.6g} (Hurwitz: {'yes' if hurwitz else 'no'})")
     ok &= hurwitz
 
-    p_used = None
     if hurwitz:
-        if cfg.ellipsoid_P is not None:
-            p_used = cfg.ellipsoid_P
-            beta = find_beta(cfg.plant, lp, k, p_used)
-            if beta is None:
-                lines.append("invariant ellipsoid (given P): no feasible multiplier")
-                ok = False
-            else:
-                cert = check_invariant(cfg.plant, lp, k, p_used, beta)
-                lines.append(
-                    f"invariant ellipsoid (given P): beta={beta:.6g} max_eig={cert.max_eig:.3e} "
-                    f"feasible={'yes' if cert.feasible else 'no'}"
-                )
-                ok &= cert.feasible
-        else:
+        if cfg.ellipsoid_P is None:
             result = minimize_trace(cfg.plant, lp, k)
-            p_used = result.P_star
-            cert = check_invariant(cfg.plant, lp, k, p_used, result.beta_star)
-            lines.append(
-                f"invariant ellipsoid (trace-minimal): beta*={result.beta_star:.6g} "
-                f"trace={result.trace_value:.6g} max_eig={cert.max_eig:.3e} "
-                f"feasible={'yes' if cert.feasible else 'no'}"
-            )
+            p_used, beta = result.P_star, result.beta_star
+            label, key, extra = "trace-minimal", "beta*", f" trace={result.trace_value:.6g}"
+        else:
+            p_used, label, key, extra = cfg.ellipsoid_P, "given P", "beta", ""
+            beta = find_beta(cfg.plant, lp, k, p_used)
+        if beta is None:
+            lines.append(f"invariant ellipsoid ({label}): no feasible multiplier")
+            ok = False
+        else:
+            cert = check_invariant(cfg.plant, lp, k, p_used, beta)
+            lines.append(f"invariant ellipsoid ({label}): {key}={beta:.6g}{extra} "
+                         f"max_eig={cert.max_eig:.3e} feasible={'yes' if cert.feasible else 'no'}")
             ok &= cert.feasible
 
         input_ok = check_input_bound(lp, k, p_used, cfg.plant.eta)

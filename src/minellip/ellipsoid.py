@@ -154,20 +154,16 @@ def _diagonal_blocks(modal: ModalForm, w: np.ndarray, beta: float, reg: float = 
     return matkit.sylvester_solve(shifted, shifted, rhs)
 
 
-def _family_at(plant: PlantModel, lp: LaplacianPair, k, modal: ModalForm, w: np.ndarray,
-               beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """X(beta) and ``P = X^{-1}``: the N^2 modal blocks ``X_ij`` of
-    ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T + c_i c_j W / beta = 0`` in
-    one batched solve, rotated back by ``U (x) I_n`` and checked against the
-    stacked equation. P is inverted before the rotation, where unreachable
-    modes stay decoupled, so an ill-conditioned X costs P no accuracy."""
+def _family_at(modal: ModalForm, w: np.ndarray, beta: float) -> np.ndarray:
+    """X(beta) in modal coordinates: the nN x nN matrix of the N^2 blocks ``X_ij`` of
+    ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T + c_i c_j W / beta = 0``, solved in one
+    batched call; :func:`_stacked` maps it to the stacked X."""
     n_followers, n = modal.blocks.shape[:2]
     shifted = modal.blocks + 0.5 * beta * np.eye(n)
     y = matkit.sylvester_solve(shifted[:, None], shifted[None],
                                np.multiply.outer(modal.c, modal.c)[:, :, None, None] * w / beta)
     y = y.transpose(0, 2, 1, 3)
     ev = np.linalg.eigvalsh(y.reshape(n_followers * n, -1))
-    reg = 0.0
     if ev.min() <= 1e-10 * max(ev.max(), 1e-300):
         # Error directions unreachable from the shared disturbance make the
         # Gramian singular; a tiny isotropic widening keeps X invertible and
@@ -176,16 +172,16 @@ def _family_at(plant: PlantModel, lp: LaplacianPair, k, modal: ModalForm, w: np.
         reg = 1e-8 * max(float(modal.c @ modal.c) * float(np.linalg.eigvalsh(w)[-1]), 1e-30)
         modes = np.arange(n_followers)
         y[modes, :, modes] = _diagonal_blocks(modal, w, beta, reg)
-    y = y.reshape(n_followers * n, -1)
-    y = 0.5 * (y + y.T)
-    u = np.kron(modal.U, np.eye(n))
-    x = u @ y @ u.T
-    eye = np.eye(x.shape[0])
-    a_shift = closed_loop(plant, lp, k) + 0.5 * beta * eye
-    matkit.check_residual(a_shift, a_shift, x,
-                          (np.tile(w, (n_followers, n_followers)) + reg * eye) / beta)
-    p = u @ np.linalg.inv(y) @ u.T
-    return 0.5 * (x + x.T), 0.5 * (p + p.T)
+    return y.reshape(n_followers * n, -1)
+
+
+def _stacked(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(U (x) I_n) Y (U (x) I_n)^T``, symmetrized, for a Y of order nN in modal
+    coordinates: two products by U over the follower axes, O(n^2 N^3), never
+    forming ``U (x) I_n``."""
+    x = (u @ y.reshape(len(u), -1)).reshape(y.shape)  # (U (x) I_n) Y
+    x = (u @ x.T.reshape(len(u), -1)).reshape(y.shape)  # (U (x) I_n) x^T = X^T
+    return 0.5 * (x + x.T)
 
 
 def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.ndarray:
@@ -202,7 +198,7 @@ def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.
     modal, w, beta_max = _family_setup(plant, lp, k)
     if not 0.0 < beta < beta_max:
         raise BetaOutOfRangeError(f"beta must lie in (0, {beta_max:.6g}), got {beta}")
-    return _family_at(plant, lp, k, modal, w, beta)[0]
+    return _stacked(modal.U, _family_at(modal, w, beta))
 
 
 def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResult:
@@ -217,7 +213,11 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     beta_star = _log_golden_min(
         lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta))), beta_max, 1e-8
     )
-    x_star, p_star = _family_at(plant, lp, k, modal, w, beta_star)
+    y = _family_at(modal, w, beta_star)
+    x_star = _stacked(modal.U, y)
+    # P is inverted before the rotation, where unreachable modes stay
+    # decoupled, so an ill-conditioned X costs P no accuracy
+    p_star = _stacked(modal.U, np.linalg.inv(0.5 * (y + y.T)))
     return MinimizationResult(
         beta_star=beta_star,
         X_star=x_star,

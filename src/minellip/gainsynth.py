@@ -51,17 +51,18 @@ def design_gain(plant: PlantModel, lp: LaplacianPair, gamma: float, q0=None) -> 
     return (gamma / (2.0 * lam_min)) * (plant.B.T @ p_are)
 
 
-def _pbh_stabilizable(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """PBH test: every eigenvalue of ``a`` with nonnegative real part must
-    leave ``[a - lambda I, b]`` at full row rank."""
-    n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a, "fro")))
+def _pbh_stabilizable(a: np.ndarray, b: np.ndarray) -> bool:
+    """PBH test: every eigenvalue of ``a`` with real part ``>= -1e-9 ||a||_F``
+    must leave ``[a - lambda I, b]`` at full row rank. Each column block is
+    divided by its own norm first: column scaling keeps the rank, a zero block
+    stays zero, and the test holds at any scale of a and b."""
+    margin = -1e-9 * float(np.linalg.norm(a, "fro"))
     for lam in np.linalg.eigvals(a):
-        if lam.real < -tol * scale:
+        if lam.real < margin:
             continue
-        pencil = np.hstack([a - lam * np.eye(n), b]).astype(complex)
-        sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[-1] <= tol * max(float(sv[0]), 1.0):
+        blocks = [m / (np.linalg.norm(m) or 1.0) for m in (a - lam * np.eye(len(a)), b)]
+        sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+        if sv[-1] <= 1e-9 * sv[0]:
             return False
     return True
 
@@ -82,11 +83,9 @@ def optimize_gain(
     smallest ellipsoid trace (ties broken by smaller gamma).
 
     Raises ``NoFeasibleDesignError`` when every grid point violates the
-    input bound, ``NoSpanningTreeError`` / ``NotStabilizableError`` when the
-    consensus preconditions fail.
+    input bound, ``NotStabilizableError`` / ``NoSpanningTreeError`` (the
+    latter from :func:`design_gain`) when the consensus preconditions fail.
     """
-    if not has_spanning_tree(lp):
-        raise NoSpanningTreeError("topology has no spanning tree rooted at the leader")
     if not _pbh_stabilizable(plant.A, plant.B):
         raise NotStabilizableError("(A, B) fails the PBH stabilizability test")
     if gamma_grid is None:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 They restate the protocol agent by agent, the Laplacian spectrum relation,
-stage-by-stage RK4, the disturbance Gramian and three small matrix helpers; the package itself
-needs none of them.
+stage-by-stage RK4, the disturbance Gramian, the stacked equation of the
+ellipsoid family and three small matrix helpers; the package itself needs
+none of them.
 """
 
 import numpy as np
@@ -91,6 +92,35 @@ def disturbance_gramian(plant, n_followers) -> np.ndarray:
     ones_e = np.kron(np.ones((n_followers, 1)), plant.E)
     g = ones_e @ np.linalg.solve(plant.Q, ones_e.T)
     return 0.5 * (g + g.T)
+
+
+def family_residual(plant, lp, k, x, beta, reg=0.0) -> float:
+    """Relative residual of X in the stacked family equation
+    ``S X + X S^T + (G + reg I) / beta = 0``, ``S = A_cl + beta/2 I`` and G of
+    :func:`disturbance_gramian`, by the rule of ``matkit.check_residual`` with
+    m = n = S: ``||residual|| / (||S|| ||X|| + ||c||)`` in Frobenius norms.
+    A_cl and G are built here with ``np.kron`` from the raw matrices, not by
+    the package."""
+    n_followers = lp.L_tilde.shape[0]
+    s = (np.kron(np.eye(n_followers), plant.A) - np.kron(lp.L_tilde, plant.B @ k)
+         + 0.5 * beta * np.eye(n_followers * plant.n))
+    c = (disturbance_gramian(plant, n_followers) + reg * np.eye(len(s))) / beta
+    return float(np.linalg.norm(s @ x + x @ s.T + c)
+                 / (np.linalg.norm(s) * np.linalg.norm(x) + np.linalg.norm(c)))
+
+
+def widening(plant, lp) -> float:
+    """``reg = 1e-8 N lambda_max(W)``, the widening of an X whose Gramian is
+    singular (``||U^T 1_N||^2 = N``)."""
+    w = plant.E @ np.linalg.solve(plant.Q, plant.E.T)
+    return 1e-8 * lp.L_tilde.shape[0] * float(np.linalg.eigvalsh(w)[-1])
+
+
+def solves_family(plant, lp, k, x, beta) -> bool:
+    """True when X solves the stacked family equation, exactly or widened by
+    :func:`widening`, within ``matkit.DEFAULT_TOL``."""
+    return min(family_residual(plant, lp, k, x, beta, reg)
+               for reg in (0.0, widening(plant, lp))) <= matkit.DEFAULT_TOL
 
 
 def stacked_control(lp, k, e, u0) -> np.ndarray:

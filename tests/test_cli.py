@@ -212,3 +212,102 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
 def test_unknown_bundled_name():
     with pytest.raises(ConfigError):
         scenario.bundled_path("does_not_exist")
+
+
+# the published ellipsoid matrix of test_find_beta_on_reference_ellipsoid
+PUBLISHED_P = 1e3 * np.array([
+    [1.9963, 0.0008, -1.2544, -0.0003, -0.6919, -0.0018],
+    [0.0008, 0.0188, -0.0005, -0.0135, 0.0014, -0.0037],
+    [-1.2544, -0.0005, 1.9291, -0.0000, -0.6245, -0.0027],
+    [-0.0003, -0.0135, -0.0000, 0.0186, 0.0030, -0.0030],
+    [-0.6919, 0.0014, -0.6245, 0.0030, 1.2549, 0.0049],
+    [-0.0018, -0.0037, -0.0027, -0.0030, 0.0049, 0.0080],
+])
+
+
+@pytest.mark.parametrize("scale, code, line", [
+    (1.0, 0, "invariant ellipsoid (given P): beta=0.0218167 max_eig=-5.001e-02 feasible=yes"),
+    (4.0, 1, "invariant ellipsoid (given P): no feasible multiplier"),
+])
+def test_verify_given_p(scale, code, line, tmp_path, outdir):
+    data = bundled_yaml("paper_example1")
+    p = scale * PUBLISHED_P
+    data["ellipsoid"] = {"P": (0.5 * (p + p.T)).tolist()}
+    path = tmp_path / "given_p.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run("verify", "--config", path, "--out", outdir) == code
+    report = (outdir / "paper_example1_verify.txt").read_text().splitlines()
+    assert line in report
+    assert report[-1] == ("verdict: PASS" if code == 0 else "verdict: FAIL")
+
+
+@pytest.mark.parametrize("a", [1e-9, 1e9])
+def test_verify_passes_at_any_time_scale(a, tmp_path, outdir):
+    # A and K x a: the paper system on time scale 1/a, beta* x a
+    data = bundled_yaml("paper_example1")
+    data["plant"]["A"] = (a * np.array(data["plant"]["A"])).tolist()
+    data["gain"]["K"] = (a * np.array(data["gain"]["K"])).tolist()
+    path = tmp_path / "scaled.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run("verify", "--config", path, "--out", outdir) == 0
+    report = (outdir / "paper_example1_verify.txt").read_text()
+    assert "consensus feasible (spanning tree + stabilizable): yes" in report
+    assert f"beta*={1.90308 * a:.6g} " in report
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("plant", "eta", DROP, "missing key 'eta' in section 'plant'"),
+    (None, None, [1, 2], "mapping at top level"),
+    ("topology", "followers", 4, "inconsistent with adjacency"),
+    ("gain", None, {"K": [[1.0, 1.0]], "synthesize": {}}, "either K or synthesize"),
+    ("gain", None, {"synthesize": {"gamma_grid": [1.0, -1.0]}}, "hold positive values"),
+    ("gain", None, {}, "needs K or synthesize"),
+    ("disturbance", "kind", "square", "disturbance.kind must be one of"),
+    ("disturbance", "amplitudes", [0.02], "amplitudes must have length 2"),
+    ("simulation", "x0", [[0.0, 0.0]], "simulation.x0 must be (4, 2)"),
+    ("simulation", "u0", [0.0, 0.0], "u0 must have length 1"),
+    ("simulation", "dt", 0.0, "dt > 0 and t_final >= dt"),
+    ("simulation", "window_fraction", 1.5, "window_fraction must lie in (0, 1]"),
+])
+def test_scenario_refusals_exit_2(section, key, value, message, tmp_path, outdir, capsys):
+    data = bundled_yaml("paper_example1")
+    if section is None:
+        data = value
+    elif key is None:
+        data[section] = value
+    elif value is DROP:
+        del data[section][key]
+    else:
+        data[section][key] = value
+    path = tmp_path / "refused.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run("verify", "--config", path, "--out", outdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+
+
+@pytest.mark.parametrize("gain, argv, message", [
+    (None, ("simulate", "--dt", "-0.1"), "config error: overrides must keep dt > 0"),
+    (None, ("simulate", "--dt", "0.5", "--t-final", "0.1"), "config error: overrides must keep"),
+    ({"synthesize": {}}, ("verify",), "config error: verify needs an explicit gain.K"),
+])
+def test_command_refusals_exit_2(gain, argv, message, tmp_path, outdir, capsys):
+    data = bundled_yaml("scalar_demo")
+    if gain is not None:
+        data["gain"] = gain
+    path = tmp_path / "refused.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run(*argv, "--config", path, "--out", outdir) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (outdir / "scalar_demo_trajectory.csv").exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert run("minimize", "--config", scenario.bundled_path("scalar_demo"),
+               "--out", blocker) == 2
+    assert capsys.readouterr().err.startswith("io error")

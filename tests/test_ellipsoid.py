@@ -22,7 +22,7 @@ from minellip import (
     worst_disturbance,
 )
 from minellip.ellipsoid import _log_golden_min
-from minellip import scenario
+from minellip import ellipsoid, scenario
 from minellip.errors import (
     BetaOutOfRangeError,
     ConfigError,
@@ -33,7 +33,7 @@ from minellip.errors import (
 )
 from minellip.matkit import lyap_solve
 from minellip.protocol import modal_form
-from reference import disturbance_gramian, is_pd
+from reference import disturbance_gramian, family_residual, is_pd, solves_family, widening
 
 
 def scalar_family_reference(beta):
@@ -416,6 +416,39 @@ def test_modal_seeded_hundred_followers(paper_plant, paper_gain):
     assert_matches_scipy(paper_plant, lp, paper_gain)
 
 
+@pytest.mark.parametrize("followers", [None, 3, 10, 20, 100])  # None: the Fig. 1 graph
+def test_x_star_solves_the_stacked_equation(followers, paper_plant, fig1_laplacian, paper_gain):
+    # the package checks each modal block; only this oracle, built with
+    # np.kron, checks the rotation back to stacked coordinates
+    lp = fig1_laplacian if followers is None else build_laplacian(
+        Topology(adjacency=seeded_adjacency(followers, 7)))
+    res = minimize_trace(paper_plant, lp, paper_gain)
+    assert solves_family(paper_plant, lp, paper_gain, res.X_star, res.beta_star)
+    x_half = family_solution(paper_plant, lp, paper_gain, 0.5 * res.beta_max)
+    assert solves_family(paper_plant, lp, paper_gain, x_half, 0.5 * res.beta_max)
+    if followers is None:  # an unreachable mode: X* solves the widened equation to round-off
+        residuals = [family_residual(paper_plant, lp, paper_gain, res.X_star, res.beta_star, reg)
+                     for reg in (0.0, widening(paper_plant, lp))]
+        assert residuals[1] <= 1e-14 < residuals[0]
+
+
+@pytest.mark.parametrize("wrong", ["blocks transposed", "modes permuted"])
+def test_stacked_oracle_refuses_a_wrong_rotation(wrong, monkeypatch, paper_plant, paper_gain):
+    lp = build_laplacian(Topology(adjacency=seeded_adjacency(10, 7)))
+    rotate, n = ellipsoid._stacked, paper_plant.n
+
+    def blocks_transposed(u, y):  # X_ij^T in place of X_ij
+        return rotate(u, y.reshape(len(u), n, len(u), n).transpose(0, 3, 2, 1).reshape(y.shape))
+
+    def modes_permuted(u, y):
+        return rotate(u[:, ::-1], y)
+
+    monkeypatch.setattr(ellipsoid, "_stacked", {"blocks transposed": blocks_transposed,
+                                                "modes permuted": modes_permuted}[wrong])
+    res = minimize_trace(paper_plant, lp, paper_gain)
+    assert not solves_family(paper_plant, lp, paper_gain, res.X_star, res.beta_star)
+
+
 def test_ill_conditioned_p_star_certifies(paper_plant, paper_gain):
     # followers 1-2-3 in a weighted triangle, the leader pinned to follower 3
     # only: cond(X*) is 7.8e9, just under the widening switch, so P* is
@@ -429,6 +462,17 @@ def test_ill_conditioned_p_star_certifies(paper_plant, paper_gain):
     res = minimize_trace(paper_plant, lp, paper_gain)
     assert check_invariant(paper_plant, lp, paper_gain, res.P_star, res.beta_star).feasible
     assert find_beta(paper_plant, lp, paper_gain, res.P_star) is not None
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda plant, lp, k, p: invariance_block(plant, lp, k, p, 0.0), "beta must be positive"),
+    (lambda plant, lp, k, p: check_invariant(plant, lp, k, p, -1.0), "beta must be positive"),
+    (lambda plant, lp, k, p: check_input_bound(lp, k, p, 0.0), "eta must be positive"),
+], ids=["block-beta", "check_invariant-beta", "input-bound-eta"])
+def test_nonpositive_beta_or_eta_refused(call, match, paper_plant, fig1_laplacian, paper_gain,
+                                         paper_minimization):
+    with pytest.raises(ValueError, match=match):
+        call(paper_plant, fig1_laplacian, paper_gain, paper_minimization.P_star)
 
 
 # --- input bound ----------------------------------------------------------

@@ -122,3 +122,33 @@ def test_grid_refinement_never_increases_trace(scalar_plant, scalar_laplacian):
     r_coarse = optimize_gain(scalar_plant, scalar_laplacian, gamma_grid=coarse)
     r_fine = optimize_gain(scalar_plant, scalar_laplacian, gamma_grid=fine)
     assert r_fine.minimization.trace_value <= r_coarse.minimization.trace_value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e-9, 1.0, 1e9, 1e12])
+def test_consensus_feasible_at_any_time_scale(a, paper_plant, fig1_laplacian):
+    # A x a is the paper plant on time scale 1/a; at lambda = 0 the pencil
+    # [A - lambda I, B] = [[0, a, 0], [0, 0, 1]] has full rank at every a
+    scaled = PlantModel(A=a * paper_plant.A, B=paper_plant.B, E=paper_plant.E,
+                        Q=paper_plant.Q, eta=paper_plant.eta)
+    assert consensus_feasible(scaled, fig1_laplacian)
+
+
+def test_pbh_margin_is_relative_to_a(fig1_laplacian):
+    # a stable mode at -0.5 s is stable at any s; an unstable mode that B
+    # misses is refused at any s
+    def plant(a):
+        return PlantModel(A=a, B=[[0.0], [1.0]], E=np.eye(2), Q=np.eye(2), eta=1.0)
+
+    assert consensus_feasible(plant(1e-9 * np.diag([-0.5, 0.0])), fig1_laplacian)
+    for s in (1e-9, 1.0, 1e9):
+        assert not consensus_feasible(plant(s * np.diag([0.5, 0.0])), fig1_laplacian)
+
+
+def test_optimize_rejects_disconnected_through_design_gain(paper_plant):
+    # one spanning-tree gate, in design_gain; the PBH gate comes first
+    with pytest.raises(NoSpanningTreeError):
+        optimize_gain(paper_plant, disconnected_lp(), gamma_grid=[1.0, 2.0])
+    unstabilizable = PlantModel(A=[[1.0, 0.0], [0.0, 1.0]], B=[[1.0], [0.0]], E=np.eye(2),
+                                Q=np.eye(2), eta=1.0)
+    with pytest.raises(NotStabilizableError):
+        optimize_gain(unstabilizable, disconnected_lp(), gamma_grid=[1.0])

@@ -65,6 +65,11 @@ def test_single_follower_laplacian():
     [[0.5, 0.0], [1.0, 0.0]],                          # nonzero diagonal
     [[0.0, 1.0], [1.0, 0.0]],                          # leader receives
     [[0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 1.0, 0.0]],  # asymmetric followers
+    np.zeros((1, 1)),                                  # no follower
+    np.zeros((2, 3)),                                  # not square
+    np.zeros(3),                                       # not 2-D
+    [[0.0, 0.0], [np.nan, 0.0]],                       # not finite
+    [[0.0, 0.0], [np.inf, 0.0]],
 ])
 def test_invalid_topologies_rejected(adjacency):
     with pytest.raises(InvalidTopologyError):

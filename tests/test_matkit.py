@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minellip import are_solve, eig_sym, lyap_solve, spectrum
-from minellip.matkit import check_pd, check_symmetric, sylvester_solve
+from minellip.matkit import as_matrix, check_pd, check_symmetric, sylvester_solve
 from minellip.errors import (
     NotStabilizableError,
     NotSymmetricError,
@@ -309,3 +309,38 @@ def test_is_pd_accepts_gram():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(4, 4))
     assert is_pd(g @ g.T + 1e-3 * np.eye(4))
+
+
+def wilkinson(n):
+    """Unit lower triangle of -1s with a last column of 1s: LU with partial
+    pivoting grows its entries by 2^(n-1) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, sec. 9.4)."""
+    m = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    m[:, -1] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: as_matrix([1.0, 2.0]), ValueError, "must be 2-D"),
+    (lambda: as_matrix([[np.nan]]), ValueError, "non-finite"),
+    (lambda: check_symmetric(np.ones((2, 3))), NotSymmetricError, "not square"),
+    (lambda: spectrum(np.ones((2, 3))), ValueError, "must be square"),
+    (lambda: spectrum([[np.inf]]), ValueError, "non-finite"),
+    (lambda: sylvester_solve(np.eye(2), np.eye(2), np.ones((2, 3))), ValueError, "do not form"),
+    (lambda: lyap_solve(np.eye(2), np.eye(3)), ValueError, "must be square and match c"),
+    (lambda: are_solve(np.ones((2, 3)), np.ones((2, 1)), np.eye(2), 1.0), ValueError,
+     "a must be square"),
+    (lambda: are_solve(np.eye(2), np.ones((3, 1)), np.eye(2), 1.0), ValueError,
+     "b must have 2 rows"),
+    (lambda: are_solve(np.eye(2), np.ones((2, 1)), np.eye(2), 0.0), ValueError,
+     "gamma must be positive"),
+    # an operator of condition 27 whose LU grows by 2^59: the solution misses
+    # its own equation and the residual check refuses it
+    (lambda: sylvester_solve(wilkinson(60), np.zeros((1, 1)), np.arange(60.0)[:, None]),
+     SingularSylvesterError, "relative residual"),
+], ids=["as_matrix-1d", "as_matrix-nan", "check_symmetric-shape", "spectrum-shape",
+        "spectrum-inf", "sylvester-shapes", "lyap-shapes", "are-a", "are-b", "are-gamma",
+        "sylvester-residual"])
+def test_matkit_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -11,7 +11,7 @@ from minellip import (
     spectrum,
 )
 from minellip.errors import DimensionMismatchError
-from minellip.protocol import modal_form
+from minellip.protocol import check_gain, modal_form
 from reference import agent_rhs, control_inputs, error_rhs, stacked_control
 
 
@@ -160,3 +160,17 @@ def test_error_rhs_matches_full_state_finite_difference(paper_plant, fig1_topolo
     moved = np.vstack([traj.leader_states[1], traj.follower_states[1].reshape(3, 2)])
     numeric = (moved - x0) / dt
     assert np.abs(numeric - rates).max() <= 1e-4 * scale
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p: PlantModel(A=np.ones((2, 3)), B=p.B, E=p.E, Q=p.Q, eta=1.0),
+     DimensionMismatchError, "A must be square"),
+    (lambda p: PlantModel(A=p.A, B=p.B, E=np.eye(3), Q=np.eye(3), eta=1.0),
+     DimensionMismatchError, "E must have 2 rows"),
+    (lambda p: PlantModel(A=p.A, B=p.B, E=p.E, Q=p.Q, eta=0.0), ValueError,
+     "eta must be positive"),
+    (lambda p: check_gain(p, np.ones((2, 2))), DimensionMismatchError, "K must be 1x2"),
+], ids=["A-square", "E-rows", "eta", "K-shape"])
+def test_protocol_refusals(call, error, match, paper_plant):
+    with pytest.raises(error, match=match):
+        call(paper_plant)

@@ -410,3 +410,28 @@ def test_invariance_once_inside_stays_inside(scalar_plant, scalar_topology, scal
         assert v[inside[0]:].max() <= 1.0 + 5e-3
         outside = v[:-1] >= 1.0 + 1e-3
         assert np.all(v[1:][outside] < v[:-1][outside])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda plant, run: make_disturbance("sinusoid", plant, amplitudes=PAPER_AMPS),
+     ValueError, "needs amplitudes and angular_frequency"),
+    (lambda plant, run: make_disturbance("sinusoid", plant, amplitudes=[0.02],
+                                         angular_frequency=PAPER_FREQ),
+     DimensionMismatchError, "amplitudes must have length 2"),
+    (lambda plant, run: make_disturbance("custom", plant), ValueError, "needs a sample function"),
+    (lambda plant, run: make_disturbance("square", plant), ValueError, "unknown disturbance kind"),
+    (lambda plant, run: run(dt=0.0), ValueError, "dt must be positive"),
+    (lambda plant, run: run(t_final=0.001, dt=0.01), ValueError, "t_final must be at least dt"),
+    (lambda plant, run: run(u0=[0.0, 0.0]), DimensionMismatchError, "u0 must have length 1"),
+    (lambda plant, run: run(dist=DisturbanceSpec("none", lambda t, e: np.zeros((len(t), 3)))),
+     DimensionMismatchError, "sample must have length 2"),
+    (lambda plant, run: metrics(run(), 0.0), ValueError, "window_fraction must lie in"),
+], ids=["sinusoid-args", "sinusoid-length", "custom-sampler", "kind", "dt", "t_final", "u0",
+        "sample-size", "metrics-window"])
+def test_sim_refusals(call, error, match, paper_plant, fig1_topology, paper_gain, paper_x0):
+    def run(u0=(0.0,), dist=None, t_final=0.1, dt=0.01):
+        return simulate(paper_plant, fig1_topology, paper_gain, u0, paper_x0,
+                        dist or make_disturbance("none", paper_plant), t_final, dt)
+
+    with pytest.raises(error, match=match):
+        call(paper_plant, run)
