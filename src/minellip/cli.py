@@ -26,7 +26,7 @@ from .ellipsoid import (
     check_invariant,
     find_beta,
     minimize_trace,
-    worst_disturbance,
+    worst_case_law,
 )
 from .errors import ConfigError, NotHurwitzError, ToolkitError
 from .gainsynth import consensus_feasible, optimize_gain
@@ -67,23 +67,28 @@ def _gain_of(cfg):
     return cfg.gain if cfg.gain is not None else _design(cfg).K
 
 
-def _write_report(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _emit(out: Path, cfg, command: str, lines, summary=None, summary_stem=None) -> None:
+    """Write the summary, if any, as ``<prefix>_<summary_stem or command>.yaml``, then
+    the headed report as ``<prefix>_<command>.txt``, and print the report."""
+    prefix = cfg.output.file_prefix
+    if summary is not None:
+        (out / f"{prefix}_{summary_stem or command}.yaml").write_text(
+            yaml.safe_dump(summary, sort_keys=False))
+    text = "\n".join([f"scenario: {prefix}", f"command: {command}", *lines])
+    (out / f"{prefix}_{command}.txt").write_text(text + "\n")
+    print(text)
 
 
-def cmd_verify(cfg, args) -> int:
-    out = _out_dir(cfg, args)
+def cmd_verify(cfg, args, out: Path) -> int:
     if cfg.gain is None:
         raise ConfigError("verify needs an explicit gain.K in the scenario")
     k = cfg.gain
     lp = build_laplacian(cfg.topology)
     rng = np.random.default_rng(args.seed)
-    lines = [f"scenario: {cfg.output.file_prefix}", "command: verify"]
-    ok = True
 
     feasible = consensus_feasible(cfg.plant, lp)
-    lines.append(f"consensus feasible (spanning tree + stabilizable): {'yes' if feasible else 'no'}")
-    ok &= feasible
+    lines = [f"consensus feasible (spanning tree + stabilizable): {'yes' if feasible else 'no'}"]
+    ok = feasible
 
     abscissa = modal_form(cfg.plant, lp, k).spectrum.spectral_abscissa
     hurwitz = abscissa < 0.0
@@ -113,14 +118,14 @@ def cmd_verify(cfg, args) -> int:
 
         # Random-direction oracle: the analytic worst direction must dominate
         # seeded random Q-unit samples in the growth inner product.
+        law = worst_case_law(p_used, cfg.plant)
         ones_e = disturbance_channel(cfg.plant, cfg.topology.follower_count)
         q_sqrt_inv = np.linalg.inv(np.linalg.cholesky(cfg.plant.Q)).T
         dominated = True
         for _ in range(20):
             e = rng.normal(size=p_used.shape[0])
-            try:
-                w_star = worst_disturbance(p_used, cfg.plant, e)
-            except ToolkitError:
+            w_star = law(e)
+            if w_star is None:
                 continue
             v = ones_e.T @ (p_used @ e)
             best = float(w_star @ v)
@@ -132,13 +137,11 @@ def cmd_verify(cfg, args) -> int:
         ok &= dominated
 
     lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
-    _write_report(out / f"{cfg.output.file_prefix}_verify.txt", lines)
-    print("\n".join(lines))
+    _emit(out, cfg, "verify", lines)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
-def cmd_minimize(cfg, args) -> int:
-    out = _out_dir(cfg, args)
+def cmd_minimize(cfg, args, out: Path) -> int:
     k = _gain_of(cfg)
     lp = build_laplacian(cfg.topology)
     result = minimize_trace(cfg.plant, lp, k)
@@ -150,16 +153,12 @@ def cmd_minimize(cfg, args) -> int:
         "trace": result.trace_value,
         "P_star_file": f"{prefix}_P_star.txt",
     }
-    (out / f"{prefix}_minimize.yaml").write_text(yaml.safe_dump(summary, sort_keys=False))
     lines = [
-        f"scenario: {prefix}",
-        "command: minimize",
         f"beta*: {result.beta_star:.9g} (admissible interval (0, {result.beta_max:.9g}))",
         f"trace of X* = P*^-1: {result.trace_value:.9g}",
         f"P* written to {prefix}_P_star.txt",
     ]
-    _write_report(out / f"{prefix}_minimize.txt", lines)
-    print("\n".join(lines))
+    _emit(out, cfg, "minimize", lines, summary)
     return EXIT_OK
 
 
@@ -178,8 +177,7 @@ def _csv_header(n: int, m: int, p: int, n_followers: int, with_v: bool) -> list[
     return cols
 
 
-def cmd_simulate(cfg, args) -> int:
-    out = _out_dir(cfg, args)
+def cmd_simulate(cfg, args, out: Path) -> int:
     _apply_overrides(cfg, args)
     k = _gain_of(cfg)
     lp = build_laplacian(cfg.topology)
@@ -238,24 +236,19 @@ def cmd_simulate(cfg, args) -> int:
         "entry_time": met.entry_time,
         "rows": int(table.shape[0]),
     }
-    (out / f"{prefix}_metrics.yaml").write_text(yaml.safe_dump(summary, sort_keys=False))
-    lines = [f"scenario: {prefix}", "command: simulate",
-             f"trajectory: {prefix}_trajectory.csv ({table.shape[0]} rows)",
+    lines = [f"trajectory: {prefix}_trajectory.csv ({table.shape[0]} rows)",
              f"steady window: [{met.steady_window[0]:.6g}, {met.steady_window[1]:.6g}] s"]
     for i, row in enumerate(met.max_abs_error_per_agent, start=1):
         formatted = ", ".join(f"{v:.6g}" for v in row)
         lines.append(f"agent {i} max |error| per coordinate: [{formatted}]")
     if met.entry_time is not None:
         lines.append(f"ellipsoid entry time: {met.entry_time:.6g} s")
-    _write_report(out / f"{prefix}_simulate.txt", lines)
-    print("\n".join(lines))
+    _emit(out, cfg, "simulate", lines, summary, summary_stem="metrics")
     return EXIT_OK
 
 
-def cmd_design(cfg, args) -> int:
-    out = _out_dir(cfg, args)
+def cmd_design(cfg, args, out: Path) -> int:
     design = _design(cfg)
-    prefix = cfg.output.file_prefix
     summary = {
         "K": design.K.tolist(),
         "gamma": design.gamma,
@@ -263,22 +256,17 @@ def cmd_design(cfg, args) -> int:
         "trace": design.minimization.trace_value,
         "input_ok": design.input_ok,
     }
-    (out / f"{prefix}_design.yaml").write_text(yaml.safe_dump(summary, sort_keys=False))
     lines = [
-        f"scenario: {prefix}",
-        "command: design",
         f"selected gamma: {design.gamma:.6g}",
         f"gain K: {design.K.tolist()}",
         f"trace of X*: {design.minimization.trace_value:.9g} at beta*={design.minimization.beta_star:.6g}",
         f"input bound at eta={cfg.plant.eta:.6g}: {'pass' if design.input_ok else 'fail'}",
     ]
-    _write_report(out / f"{prefix}_design.txt", lines)
-    print("\n".join(lines))
+    _emit(out, cfg, "design", lines, summary)
     return EXIT_OK
 
 
-def cmd_report(cfg, args) -> int:
-    out = _out_dir(cfg, args)
+def cmd_report(cfg, args, out: Path) -> int:
     lines = [f"summary of {out}"]
     for path in sorted(out.glob("*.yaml")):
         try:
@@ -329,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = scenario.load(args.config)
-        return args.func(cfg, args)
+        return args.func(cfg, args, _out_dir(cfg, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -247,22 +247,22 @@ def worst_case_law(P, plant: PlantModel):
         omega* = Q^{-1} (1_N (x) E)^T P e / || Q^{-1/2} (1_N (x) E)^T P e ||,
 
     with ``omega*^T Q omega* = 1``, or None where ``||(1_N (x) E)^T P e|| <=
-    1e-12 (1 + ||P||_F ||e||)``. Its operands are built once, so a simulation
-    can call it every step. N is P's order over n and P must pass ``check_pd``;
-    ``DimensionMismatchError`` when n does not divide that order or e misses it."""
+    1e-12 ||(1_N (x) E)^T P||_F ||e||``. Its operands are built once, so a
+    simulation can call it every step. N is P's order over n, P must pass
+    ``check_pd``; ``DimensionMismatchError`` when n does not divide it or e misses it."""
     n_followers, rest = divmod(len(P), plant.n)
     if rest:
         raise DimensionMismatchError(f"P's order {len(P)} is not a multiple of n={plant.n}")
     P = matkit.check_pd(P, n_followers * plant.n, "P")[0]
     channel = disturbance_channel(plant, n_followers).T @ P
     q_inv = np.linalg.inv(plant.Q)
-    p_scale = float(np.linalg.norm(P, "fro"))
+    floor = 1e-12 * float(np.linalg.norm(channel, "fro"))
 
     def law(e: np.ndarray) -> np.ndarray | None:
         if e.shape != P.shape[:1]:
             raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
         v = channel.dot(e)
-        if math.sqrt(v.dot(v)) <= 1e-12 * (1.0 + p_scale * math.sqrt(e.dot(e))):
+        if math.sqrt(v.dot(v)) <= floor * math.sqrt(e.dot(e)):
             return None
         y = q_inv.dot(v)
         return y / math.sqrt(v.dot(y))

@@ -24,7 +24,7 @@ class NoConvergenceError(ToolkitError):
 
 
 class SingularSylvesterError(ToolkitError):
-    """A Lyapunov/Sylvester operator is singular (eigenvalue pair sums to zero)."""
+    """A Lyapunov/Sylvester solve is refused: singular operator or residual above bound."""
 
 
 class NotStabilizableError(ToolkitError):

@@ -82,30 +82,23 @@ def optimize_gain(
     """Sweep the gamma grid, keep input-feasible designs, return the one of
     smallest ellipsoid trace (ties broken by smaller gamma).
 
-    Raises ``NoFeasibleDesignError`` when every grid point violates the
-    input bound, ``NotStabilizableError`` / ``NoSpanningTreeError`` (the
-    latter from :func:`design_gain`) when the consensus preconditions fail.
+    Raises ``ValueError`` on an empty grid, ``NoFeasibleDesignError`` when
+    every grid point violates the input bound, ``NotStabilizableError`` /
+    ``NoSpanningTreeError`` (the latter from :func:`design_gain`) when the
+    consensus preconditions fail.
     """
     if not _pbh_stabilizable(plant.A, plant.B):
         raise NotStabilizableError("(A, B) fails the PBH stabilizability test")
-    if gamma_grid is None:
-        gamma_grid = DEFAULT_GAMMA_GRID
+    grid = [float(gamma) for gamma in (DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)]
+    if not grid:
+        raise ValueError("gamma_grid is empty")
 
-    best = None
-    for gamma in gamma_grid:
-        gamma = float(gamma)
+    feasible = []
+    for gamma in grid:
         k = design_gain(plant, lp, gamma, q0)
         minimization = minimize_trace(plant, lp, k)
-        if not check_input_bound(lp, k, minimization.P_star, plant.eta):
-            continue
-        key = (minimization.trace_value, gamma)
-        if best is None or key < best[0]:
-            best = (key, DesignResult(
-                K=k,
-                gamma=gamma,
-                minimization=minimization,
-                input_ok=True,
-            ))
-    if best is None:
+        if check_input_bound(lp, k, minimization.P_star, plant.eta):
+            feasible.append(DesignResult(K=k, gamma=gamma, minimization=minimization, input_ok=True))
+    if not feasible:
         raise NoFeasibleDesignError("every gamma on the grid violates the input bound")
-    return best[1]
+    return min(feasible, key=lambda d: (d.minimization.trace_value, d.gamma))

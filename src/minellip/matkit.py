@@ -114,8 +114,9 @@ def sylvester_solve(m, n, c) -> np.ndarray:
 def check_residual(m, n, x, c) -> None:
     """Raise ``SingularSylvesterError`` unless every item of the batch has
     ``||m X + X n^T + c|| <= DEFAULT_TOL * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
-    (Frobenius norms): a solution of a nearly singular operator misses its
-    own equation."""
+    (Frobenius norms). A nearly singular operator fails it, and so does a
+    well-conditioned one whose LU solve is ruined by pivot growth, so the
+    refusal names the residual and its bound, not a cause."""
     def fro(y):
         return np.sqrt(np.einsum("...ij,...ij->...", y, y))
 
@@ -123,7 +124,7 @@ def check_residual(m, n, x, c) -> None:
         1e-30, 0.5 * (fro(m) + fro(n)) * fro(x) + fro(c))
     if np.any(ratio > DEFAULT_TOL):
         raise SingularSylvesterError(
-            f"Sylvester operator nearly singular: relative residual {float(np.max(ratio)):.3e}")
+            f"Sylvester relative residual {float(np.max(ratio)):.3e} above {DEFAULT_TOL:g}")
 
 
 def lyap_solve(m, c) -> np.ndarray:

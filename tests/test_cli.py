@@ -183,6 +183,20 @@ def test_design_command(outdir, tmp_path):
     assert np.asarray(summary["K"]).shape == (1, 2)
 
 
+def test_each_command_writes_what_it_prints(outdir, capsys):
+    # <prefix>_<command>.txt is the printed report, headed by the scenario and
+    # the command; minimize, design and simulate also write a YAML summary
+    config = scenario.bundled_path("scalar_demo")
+    for command, extra in (("verify", ()), ("minimize", ()), ("design", ()),
+                           ("simulate", ("--t-final", "1.0"))):
+        assert run(command, "--config", config, "--out", outdir, *extra) == 0
+        printed = capsys.readouterr().out
+        assert (outdir / f"scalar_demo_{command}.txt").read_bytes() == printed.encode()
+        assert printed.startswith(f"scenario: scalar_demo\ncommand: {command}\n")
+    assert sorted(path.name for path in outdir.glob("*.yaml")) == [
+        "scalar_demo_design.yaml", "scalar_demo_metrics.yaml", "scalar_demo_minimize.yaml"]
+
+
 def test_malformed_q0_exits_2(tmp_path, outdir, capsys):
     data = bundled_yaml("paper_example1")
     # wrong order, indefinite, then not symmetric

@@ -571,6 +571,20 @@ def test_worst_direction_degenerate():
         worst_disturbance(np.eye(2), plant, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("p_scale, e_scale", [(1e-20, 1.0), (1e20, 1.0), (1.0, 1e-20),
+                                              (1.0, 1e20)])
+def test_worst_direction_is_scale_free(p_scale, e_scale, paper_plant, paper_minimization):
+    # omega* depends on the direction of (1_N (x) E)^T P e alone, so no scale
+    # of P or e makes it degenerate; e = 0 still does
+    p_star = paper_minimization.P_star
+    for e in np.random.default_rng(31).normal(size=(20, 6)):
+        want = worst_disturbance(p_star, paper_plant, e)
+        got = worst_disturbance(p_scale * p_star, paper_plant, e_scale * e)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    with pytest.raises(DegenerateDirectionError):
+        worst_disturbance(p_scale * p_star, paper_plant, np.zeros(6))
+
+
 def test_worst_case_sampler_and_worst_disturbance_share_one_law(paper_plant,
                                                                  paper_minimization):
     # bitwise-equal samples; at e = 0 the sampler holds its last sample where

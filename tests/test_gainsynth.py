@@ -102,6 +102,23 @@ def test_optimize_infeasible_for_tiny_eta(scalar_plant, scalar_laplacian):
         optimize_gain(cramped, scalar_laplacian, gamma_grid=[0.5, 1.0, 2.0, 4.0])
 
 
+def test_optimize_skips_the_smallest_trace_over_the_input_bound(scalar_laplacian):
+    # the trace falls and the peak input K/(1+K) rises with gamma: at eta = 0.3,
+    # gamma = 4 (peak 0.382) has the smallest trace but fails the bound, and
+    # gamma = 2 (peak 0.268) is the smallest trace that passes it
+    cramped = PlantModel(A=[[-1.0]], B=[[1.0]], E=[[1.0]], Q=[[1.0]], eta=0.3)
+    result = optimize_gain(cramped, scalar_laplacian, gamma_grid=[4.0, 0.5, 2.0, 1.0])
+    assert result.gamma == 2.0
+    assert result.minimization.trace_value == pytest.approx(scalar_design_trace(2.0), rel=1e-6)
+    assert result.input_ok
+
+
+def test_optimize_refuses_an_empty_grid(paper_plant, fig1_laplacian):
+    # no gamma was tried, so no design can be said to violate the bound
+    with pytest.raises(ValueError, match="gamma_grid is empty"):
+        optimize_gain(paper_plant, fig1_laplacian, gamma_grid=[])
+
+
 def test_optimize_paper_system_default_grid(paper_plant, fig1_laplacian):
     result = optimize_gain(paper_plant, fig1_laplacian)
     assert result.input_ok
