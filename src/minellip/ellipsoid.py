@@ -34,6 +34,7 @@ from .graph import LaplacianPair
 from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,14 @@ def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) ->
     """Symmetric block matrix of the invariance test; P must pass ``check_pd`` at order nN."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    P = matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0]
+    return _block(plant, lp, k, matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0], beta)
+
+
+def _block(plant: PlantModel, lp: LaplacianPair, k, P: np.ndarray, beta: float) -> np.ndarray:
+    """:func:`invariance_block` for a P that passed ``check_pd``."""
     a_cl = closed_loop(plant, lp, k)
-    ones_e = disturbance_channel(plant, lp.L_tilde.shape[0])
-    top = P @ a_cl + a_cl.T @ P + beta * P
-    off = P @ ones_e
-    return np.block([[top, off], [off.T, -beta * plant.Q]])
+    off = P @ disturbance_channel(plant, lp.L_tilde.shape[0])
+    return np.block([[P @ a_cl + a_cl.T @ P + beta * P, off], [off.T, -beta * plant.Q]])
 
 
 def check_invariant(
@@ -75,7 +78,11 @@ def check_invariant(
     ``1e-7 * (1 + ||block||_2)``; entries of P can reach 1e3 and beyond on
     realistic data, so the test must be scale-aware.
     """
-    w = np.linalg.eigvalsh(invariance_block(plant, lp, k, P, beta))
+    return _certificate(invariance_block(plant, lp, k, P, beta), beta)
+
+
+def _certificate(block: np.ndarray, beta: float) -> InvarianceCertificate:
+    w = np.linalg.eigvalsh(block)
     max_eig = float(w[-1])
     return InvarianceCertificate(beta=float(beta), max_eig=max_eig,
                                  feasible=max_eig <= 1e-7 * (1.0 + float(np.abs(w).max())))
@@ -130,8 +137,7 @@ def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
         return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
 
     beta = _log_golden_min(schur_max_eig, -2.0 * abscissa, 1e-9)
-    cert = check_invariant(plant, lp, k, P, beta)
-    return beta if cert.feasible else None
+    return beta if _certificate(_block(plant, lp, k, P, beta), beta).feasible else None
 
 
 def _family_setup(plant: PlantModel, lp: LaplacianPair, k):
@@ -240,34 +246,58 @@ def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
     return bool(np.linalg.eigvalsh(z.T @ z)[-1] <= eta**2 * (1.0 + 1e-7))
 
 
-def worst_case_law(P, plant: PlantModel):
+@dataclass(frozen=True, eq=False)
+class WorstCaseLaw:
+    """:func:`worst_case_law` whitened by ``Q = L L^T``: ``omega* = unwhiten u`` with
+    ``unwhiten = L^-T`` and ``u = z / ||z||`` for the readout ``z = Z e``, ``Z = L^-1 (1_N (x)
+    E)^T P`` over its max-abs entry (omega* has degree 0 in P and in e), so ``omega*^T Q omega*
+    = u^T u``. P is the checked P."""
+
+    Z: np.ndarray
+    unwhiten: np.ndarray
+    floor: float
+    P: np.ndarray
+
+    def unit(self, e: np.ndarray, held=None, z=None) -> np.ndarray | None:
+        """u at e, or ``held`` where ``||z|| <= floor ||e||`` (e = 0 too). A given ``z = Z e``
+        is normalized in place while ``z^T z`` is a normal double above that floor; else z is
+        formed from e over its max-abs entry, which no scale of e or P over- or underflows. A
+        NaN in e gives a NaN u."""
+        if z is not None:
+            zz = z.dot(z)
+            if _TINY <= zz < math.inf and zz > self.floor**2 * e.dot(e):
+                z /= math.sqrt(zz)
+                return z
+        elif e.shape != self.P.shape[:1]:
+            raise DimensionMismatchError(f"error shape {e.shape} does not match P {self.P.shape}")
+        e = e / (np.abs(e).max() or 1.0)
+        z = self.Z.dot(e)
+        r = math.sqrt(z.dot(z))
+        return held if r <= self.floor * math.sqrt(e.dot(e)) else z / r
+
+    def __call__(self, e: np.ndarray) -> np.ndarray | None:
+        u = self.unit(e)
+        return None if u is None else self.unwhiten.dot(u)
+
+
+def worst_case_law(P, plant: PlantModel) -> WorstCaseLaw:
     """The map ``e -> omega*`` to the admissible disturbance that maximizes
     the growth rate of ``e^T P e``, for a P of order nN:
 
         omega* = Q^{-1} (1_N (x) E)^T P e / || Q^{-1/2} (1_N (x) E)^T P e ||,
 
-    with ``omega*^T Q omega* = 1``, or None where ``||(1_N (x) E)^T P e|| <=
-    1e-12 ||(1_N (x) E)^T P||_F ||e||``. Its operands are built once, so a
-    simulation can call it every step. N is P's order over n, P must pass
-    ``check_pd``; ``DimensionMismatchError`` when n does not divide it or e misses it."""
+    with ``omega*^T Q omega* = 1``, or None where ``||z|| <= 1e-12 ||Z||_F ||e||`` (see
+    :class:`WorstCaseLaw`). Its operands are built once, so a simulation can call it every
+    step. N is P's order over n, P must pass ``check_pd``; ``DimensionMismatchError`` when n
+    does not divide it or e misses it."""
     n_followers, rest = divmod(len(P), plant.n)
     if rest:
         raise DimensionMismatchError(f"P's order {len(P)} is not a multiple of n={plant.n}")
     P = matkit.check_pd(P, n_followers * plant.n, "P")[0]
-    channel = disturbance_channel(plant, n_followers).T @ P
-    q_inv = np.linalg.inv(plant.Q)
-    floor = 1e-12 * float(np.linalg.norm(channel, "fro"))
-
-    def law(e: np.ndarray) -> np.ndarray | None:
-        if e.shape != P.shape[:1]:
-            raise DimensionMismatchError(f"error shape {e.shape} does not match P {P.shape}")
-        v = channel.dot(e)
-        if math.sqrt(v.dot(v)) <= floor * math.sqrt(e.dot(e)):
-            return None
-        y = q_inv.dot(v)
-        return y / math.sqrt(v.dot(y))
-
-    return law
+    l_inv = np.linalg.inv(matkit.check_pd(plant.Q, plant.p, "Q")[1])
+    z = l_inv @ (disturbance_channel(plant, n_followers).T @ P)
+    z /= np.abs(z).max() or 1.0
+    return WorstCaseLaw(z, l_inv.T, 1e-12 * float(np.linalg.norm(z, "fro")), P)
 
 
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:

@@ -49,7 +49,8 @@ def check_symmetric(s, name: str = "matrix") -> np.ndarray:
     s = as_matrix(s, name)
     if s.shape[0] != s.shape[1]:
         raise NotSymmetricError(f"{name} is not square: {s.shape}")
-    if float(np.linalg.norm(s - s.T, "fro")) > 1e-10 * float(np.linalg.norm(s, "fro")):
+    d = s / (np.abs(s).max(initial=0.0) or 1.0)  # no square of an entry over- or underflows
+    if float(np.linalg.norm(d - d.T, "fro")) > 1e-10 * float(np.linalg.norm(d, "fro")):
         raise NotSymmetricError(f"{name} is not symmetric within relative tolerance 1e-10")
     return 0.5 * (s + s.T)
 

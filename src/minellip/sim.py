@@ -12,19 +12,21 @@ and are sampled at every stage time in one call per run, so a step is one
 matrix-vector product plus one add. Custom samplers are drawn at each stage;
 the worst-case (state-feedback) disturbance is drawn once per step from the
 current error and held across its stages, a piecewise-constant realization
-that keeps the integrated vector field smooth within each step. Each of these
-samples is checked against the Q bound once, online, before it is used.
+that keeps the integrated vector field smooth within each step. The one that
+``make_disturbance`` builds is fused into the step: ``y = [Phi; Z] e`` gives
+``Phi e`` and the whitened readout z of its law, z becomes the sample u in
+place, and ``[I, G L^-T] y`` is the next error. Each of these samples is
+checked against the Q bound once, online, before it is used.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ellipsoid import worst_case_law
+from .ellipsoid import WorstCaseLaw, worst_case_law
 from .errors import (
     DimensionMismatchError,
     DisturbanceBoundViolatedError,
@@ -45,11 +47,13 @@ class DisturbanceSpec:
 
     The kind sets when the simulator draws (see the module docstring); the
     ``none`` and ``sinusoid`` samplers take an array of times and return one
-    row per time. Every sample is checked against the quadratic bound.
+    row per time. A ``worst_case`` source with a ``law`` is stepped by that law,
+    not by its sampler. Every sample is checked against the quadratic bound.
     """
 
     kind: str
     sampler: Callable[[float, np.ndarray], np.ndarray]
+    law: WorstCaseLaw | None = None
 
 
 def make_disturbance(
@@ -68,9 +72,9 @@ def make_disturbance(
         amplitude vector must satisfy the Q bound, which is checked here
         since the supremum over time is attained at full swing.
         ``"worst_case"``: :func:`~minellip.ellipsoid.worst_case_law` at the
-        current error (``P`` must pass that law's checks); falls back to the previous
-        sample, or the first Q-unit basis direction at start, whenever the
-        direction degenerates.
+        current error (``P`` must pass that law's checks), carried as ``law``; its
+        ``unit`` holds the previous sample, or ``e_1 / sqrt(Q_11)`` at start, whenever
+        the direction degenerates.
         ``"custom"``: user sampler, validated against the bound online.
     """
     p_dim = plant.p
@@ -93,16 +97,14 @@ def make_disturbance(
         if P is None:
             raise MissingEllipsoidError("worst_case disturbance needs an ellipsoid matrix P")
         law = worst_case_law(P, plant)
-        prev = np.eye(p_dim)[0] / math.sqrt(float(plant.Q[0, 0]))
+        held = np.eye(p_dim)[0]  # whitened: omega = e_1 / sqrt(Q_11) until a direction exists
 
         def sampler(t, e):
-            nonlocal prev
-            omega = law(e)
-            if omega is not None:
-                prev = omega
-            return prev
+            nonlocal held
+            held = law.unit(e, held)
+            return law.unwhiten.dot(held)
 
-        return DisturbanceSpec(kind, sampler)
+        return DisturbanceSpec(kind, sampler, law)
     if kind == "custom":
         if sample is None:
             raise ValueError("custom disturbance needs a sample function")
@@ -158,11 +160,12 @@ def simulate(
         Initial states, leader first.
     dist : DisturbanceSpec
         Shared follower disturbance: ``none``/``sinusoid`` sampled once per run, ``worst_case``
-        once per step, others per stage. Every sample must satisfy ``omega^T Q omega <= 1``;
-        a ``worst_case``/``custom`` one is checked once, online, before the step that uses it.
+        once per step (fused into the step when it carries a ``law``), others per stage. Every
+        sample must satisfy ``omega^T Q omega <= 1``; a ``worst_case``/``custom`` one is checked
+        once, online, before the step that uses it. A law's P must have order nN.
     P : optional (nN, nN) array
-        When given, it must pass :func:`~minellip.matkit.check_pd`, and
-        ``V = e^T P e`` is recorded alongside the trajectory.
+        When given, it must pass :func:`~minellip.matkit.check_pd`, unless it equals the P
+        that ``dist.law`` checked, and ``V = e^T P e`` is recorded alongside the trajectory.
 
     Raises ``UnstableStepError`` when the error closed loop is Hurwitz but
     ``dt`` lies outside its RK4 stability region.
@@ -183,8 +186,11 @@ def simulate(
             f"x0 must hold {(n_followers + 1)} states of dimension {n}, got size {x0.size}"
         )
     x0 = x0.reshape(n_followers + 1, n)
-    if P is not None:
-        P = check_pd(P, n_followers * n, "P")[0]
+    nn, law = n_followers * n, dist.law
+    if law is not None and len(law.P) != nn:
+        raise DimensionMismatchError(f"the worst-case law's P has order {len(law.P)}, not {nn}")
+    if P is not None:  # a P equal to the one the law checked is not checked again
+        P = law.P if law is not None and np.array_equal(P, law.P) else check_pd(P, nn, "P")[0]
     lp = build_laplacian(topology)
     # rho(Phi) = max |p(dt lambda)| over the eigenvalues of the modal blocks of
     # A_cl, with p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (see _rk4_step_map)
@@ -216,6 +222,25 @@ def simulate(
         np.matmul(np.hstack([w[:-1:2], w[1::2], w[2::2]]), g.T, out=errors[1:])
         for prev, e in zip(errors[:-1], errors[1:]):
             e += phi.dot(prev)
+    elif law is not None:  # y = [Phi; Z] e; z -> u in place; [e+; u] = [[I, G L^-T]; [0, I]] y
+        m, y = np.vstack([phi, law.Z]), np.empty(nn + p_dim)
+        z = y[nn:]
+        step = np.eye(nn + p_dim)
+        step[:nn, nn:] = g.reshape(-1, 3, p_dim).sum(axis=1) @ law.unwhiten
+        rows = np.empty((n_steps + 2, nn + p_dim))  # row k: [e_k, u_{k-1}]
+        rows[0] = np.append(errors[0], np.eye(p_dim)[0])  # u_{-1}: omega = e_1 / sqrt(Q_11)
+        with np.errstate(over="ignore"):  # an overflowing z^T z or e^T e takes the scaled branch
+            for t, e, held, row_next in zip(times, rows[:, :nn], rows[:, nn:], rows[1:]):
+                m.dot(e, out=y)
+                u = law.unit(e, held, z)
+                if u is not z:
+                    z[:] = u
+                if not z.dot(z) <= 1.0 + BOUND_SLACK:
+                    raise DisturbanceBoundViolatedError(
+                        f"disturbance sample at t={t:.6g} violates the Q bound")
+                step.dot(y, out=row_next)
+        errors = rows[:-1, :nn]  # a view: the rows hold the errors once
+        samples = rows[1:, nn:] @ law.unwhiten.T
     else:  # each sample is drawn into its row and checked before the step that uses it
         def draw(t, e, out):
             w = dist.sampler(t, e)

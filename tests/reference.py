@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 They restate the protocol agent by agent, the Laplacian spectrum relation,
-stage-by-stage RK4, the disturbance Gramian, the stacked equation of the
-ellipsoid family and three small matrix helpers; the package itself needs
-none of them.
+stage-by-stage RK4, the worst-case disturbance, the disturbance Gramian, the
+stacked equation of the ellipsoid family and three small matrix helpers; the
+package itself needs none of them.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from minellip import matkit
 from minellip.errors import DimensionMismatchError
 from minellip.graph import build_laplacian
 from minellip.protocol import check_gain, closed_loop, disturbance_channel
+from minellip.sim import DisturbanceSpec
 
 
 def kron(a, b) -> np.ndarray:
@@ -84,6 +85,26 @@ def agent_rhs(plant, topology, k, states, u0, omega) -> np.ndarray:
     out[0] += plant.B @ np.atleast_1d(np.asarray(u0, dtype=float))
     out[1:] += u @ plant.B.T + plant.E @ omega
     return out
+
+
+def worst_case_reference(P, plant) -> DisturbanceSpec:
+    """The worst-case disturbance from its closed form, ``omega = Q^{-1} v / sqrt(v^T Q^{-1} v)``
+    with ``v = (1_N (x) E)^T P e`` (channel by ``np.kron``, ``Q^{-1} v`` by ``np.linalg.solve``),
+    holding the previous sample where v = 0 and ``e_1 / sqrt(Q_11)`` before the first.
+    It shares no code with the package's law, so a whitening slip there cannot hide."""
+    P = np.asarray(P, dtype=float)
+    ones_e = np.kron(np.ones((len(P) // plant.n, 1)), plant.E)
+    held = np.eye(plant.p)[0] / np.sqrt(plant.Q[0, 0])
+
+    def sampler(t, e):
+        nonlocal held
+        v = ones_e.T @ P @ e
+        if np.any(v != 0.0):
+            y = np.linalg.solve(plant.Q, v)
+            held = y / np.sqrt(v @ y)
+        return held
+
+    return DisturbanceSpec("worst_case", sampler)
 
 
 def disturbance_gramian(plant, n_followers) -> np.ndarray:

@@ -572,10 +572,13 @@ def test_worst_direction_degenerate():
 
 
 @pytest.mark.parametrize("p_scale, e_scale", [(1e-20, 1.0), (1e20, 1.0), (1.0, 1e-20),
-                                              (1.0, 1e20)])
+                                              (1.0, 1e20), (1e-150, 1.0), (1e150, 1.0),
+                                              (1.0, 1e-150), (1.0, 1e150), (1.0, 1e-170),
+                                              (1.0, 1e160), (1.0, 1e170)])
 def test_worst_direction_is_scale_free(p_scale, e_scale, paper_plant, paper_minimization):
     # omega* depends on the direction of (1_N (x) E)^T P e alone, so no scale
-    # of P or e makes it degenerate; e = 0 still does
+    # of P or e makes it degenerate, and none whose squares leave the double
+    # range changes it (a RuntimeWarning fails the test); e = 0 still does
     p_star = paper_minimization.P_star
     for e in np.random.default_rng(31).normal(size=(20, 6)):
         want = worst_disturbance(p_star, paper_plant, e)
@@ -603,6 +606,32 @@ def test_worst_case_sampler_and_worst_disturbance_share_one_law(paper_plant,
         make_disturbance("worst_case", paper_plant, P=skew)
     with pytest.raises(NotSymmetricError):
         worst_disturbance(skew, paper_plant, e)
+
+
+def test_p_is_checked_once_per_call_chain(monkeypatch, paper_plant, fig1_topology,
+                                           fig1_laplacian, paper_gain, paper_x0,
+                                           paper_minimization):
+    # find_beta certifies the P it checked, and simulate takes the P that its
+    # worst-case law checked: one check_pd (one Cholesky) of P per call chain;
+    # the refusals stay those of test_every_p_entry_point_refuses_alike
+    import minellip.sim
+
+    checked = []
+
+    def counting(s, order, name="matrix"):
+        checked.append(name)
+        return real(s, order, name)
+
+    real = ellipsoid.matkit.check_pd
+    monkeypatch.setattr(ellipsoid.matkit, "check_pd", counting)
+    monkeypatch.setattr(minellip.sim, "check_pd", counting)
+    p_star = paper_minimization.P_star
+    assert find_beta(paper_plant, fig1_laplacian, paper_gain, p_star) is not None
+    assert checked.count("P") == 1
+    checked.clear()
+    dist = make_disturbance("worst_case", paper_plant, P=p_star)
+    simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 0.1, 1e-2, P=p_star)
+    assert checked.count("P") == 1
 
 
 # --- Schur-complement agreement of the invariance test ---------------------

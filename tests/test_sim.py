@@ -3,6 +3,7 @@ import pytest
 
 from minellip import (
     DisturbanceSpec,
+    PlantModel,
     build_laplacian,
     design_gain,
     find_beta,
@@ -163,6 +164,62 @@ def test_worst_case_from_zero_error_starts_on_fallback(paper_plant, fig1_topolog
     for got, want in ((traj.errors, errors), (traj.leader_states, leader),
                       (traj.disturbances, samples)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["paper", "N10", "fallback"])
+def test_fused_worst_case_matches_independent_oracle(case, paper_plant, fig1_topology,
+                                                     paper_gain, paper_x0, paper_minimization):
+    from reference import rk4_stage_loop, worst_case_reference
+    from test_graph import random_connected_topology
+
+    # the fused step against stage-by-stage RK4 driven by the closed form of
+    # omega*, which shares no code with the package's whitened law; the N = 10
+    # plant's Q is not diagonal, so a transposed L^-1 or L^-T shows
+    plant, topology, k, x0 = paper_plant, fig1_topology, paper_gain, paper_x0
+    P, t_final = paper_minimization.P_star, 20.0
+    if case == "N10":
+        rng = np.random.default_rng(10)
+        plant = PlantModel(A=plant.A, B=plant.B, E=plant.E, Q=[[800.0, 300.0], [300.0, 4000.0]],
+                           eta=plant.eta)
+        topology = random_connected_topology(rng, 10)
+        k = design_gain(plant, build_laplacian(topology), gamma=10.0)
+        x0 = rng.normal(size=(11, 2))
+        P, t_final = minimize_trace(plant, build_laplacian(topology), k).P_star, 5.0
+    elif case == "fallback":  # P = I: the follower errors cancel, so the first sample is held
+        x0 = np.array([[0.5, -0.25], [1.5, 1.75], [-0.5, -2.25], [0.5, -0.25]])
+        P, t_final = np.eye(6), 2.0
+    traj = simulate(plant, topology, k, [0.2], x0, make_disturbance("worst_case", plant, P=P),
+                    t_final, 1e-3)
+    leader, errors, samples = rk4_stage_loop(plant, topology, k, [0.2], x0,
+                                             worst_case_reference(P, plant), t_final, 1e-3)
+    if case == "fallback":
+        np.testing.assert_array_equal(samples[0], [1.0 / np.sqrt(plant.Q[0, 0]), 0.0])
+    for got, want in ((traj.errors, errors), (traj.leader_states, leader),
+                      (traj.disturbances, samples)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_worst_case_with_nan_start_is_refused_at_t0(paper_plant, fig1_topology, paper_gain,
+                                                    paper_x0, paper_minimization):
+    x0 = paper_x0.copy()
+    x0[2, 1] = np.nan
+    dist = make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star)
+    with pytest.raises(DisturbanceBoundViolatedError, match="t=0 "):
+        simulate(paper_plant, fig1_topology, paper_gain, [0.0], x0, dist, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_fused_worst_case_survives_extreme_errors(scale, paper_plant, fig1_topology,
+                                                  paper_gain, paper_x0, paper_minimization):
+    # z^T z underflows or overflows: the fused step takes the scaled branch of
+    # the law and draws omega*(e0), without a RuntimeWarning
+    from minellip import worst_disturbance
+
+    x0 = scale * paper_x0
+    dist = make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star)
+    traj = simulate(paper_plant, fig1_topology, paper_gain, [0.0], x0, dist, 0.01, 1e-3)
+    want = worst_disturbance(paper_minimization.P_star, paper_plant, (x0[1:] - x0[0]).ravel())
+    assert np.abs(traj.disturbances[0] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- simulate ----------------------------------------------------------
