@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,8 @@ def _apply_overrides(cfg, args) -> None:
         cfg.simulation.dt = args.dt
     if args.t_final is not None:
         cfg.simulation.t_final = args.t_final
-    if cfg.simulation.dt <= 0 or cfg.simulation.t_final < cfg.simulation.dt:
-        raise ConfigError("overrides must keep dt > 0 and t_final >= dt")
+    if not 0 < cfg.simulation.dt <= cfg.simulation.t_final < np.inf:  # NaN fails it too
+        raise ConfigError("overrides must keep dt > 0 and t_final >= dt, both finite")
 
 
 def _design(cfg):
@@ -177,6 +178,48 @@ def _csv_header(n: int, m: int, p: int, n_followers: int, with_v: bool) -> list[
     return cols
 
 
+def _format_block(block) -> str:
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _write_table(fh, table) -> None:
+    """Write exactly ``np.savetxt(fh, table, fmt="%.17g", delimiter=",")``'s bytes, one %-format
+    per 2048 rows, in one contiguous share of blocks per usable CPU: this process writes the first,
+    then what each forked child formats and sends through a pipe. A failed child raises OSError."""
+    blocks = np.split(table, range(2048, len(table), 2048))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares = min(cpus or 1, len(blocks)) if hasattr(os, "fork") else 1
+    bounds = [len(blocks) * i // shares for i in range(shares + 1)]
+    pids, pipes = [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as sink:  # this process closes its write end on leaving
+                with warnings.catch_warnings():  # Python >= 3.12 warns on a fork with live threads
+                    warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:  # the child only formats: it never returns nor flushes ``fh``
+                    try:
+                        os.close(read_end)  # so that its write fails once this process closes it
+                        sink.write("".join(map(_format_block, blocks[lo:hi])).encode())
+                        sink.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        fh.writelines(map(_format_block, blocks[:bounds[1]]))
+        for pipe in pipes:
+            fh.write(pipe.read().decode())
+    finally:  # close every read end first, so that a child blocked on its pipe exits; reap all
+        for pipe in pipes:
+            pipe.close()
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise OSError(f"CSV formatting processes {failed} failed")
+
+
 def cmd_simulate(cfg, args, out: Path) -> int:
     _apply_overrides(cfg, args)
     k = _gain_of(cfg)
@@ -224,11 +267,9 @@ def cmd_simulate(cfg, args, out: Path) -> int:
     if traj.V is not None:
         blocks.append(traj.V[:, None])
     table = np.hstack(blocks)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(out / f"{prefix}_trajectory.csv", "w") as fh:  # np.savetxt(fmt="%.17g")'s bytes,
-        fh.write(",".join(header) + "\n")  # but one %-format per 2048 rows, not one per row
-        for block in np.split(table, range(2048, len(table), 2048)):
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    with open(out / f"{prefix}_trajectory.csv", "w") as fh:
+        fh.write(",".join(header) + "\n")
+        _write_table(fh, table)
     summary = {
         "disturbance": kind,
         "steady_window": [met.steady_window[0], met.steady_window[1]],

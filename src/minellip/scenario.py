@@ -129,8 +129,8 @@ def from_dict(data: dict) -> ScenarioConfig:
             dt=float(_require(sim_sec, "dt", "simulation")),
             window_fraction=float(sim_sec.get("window_fraction", 0.5)),
         )
-        if simulation.dt <= 0 or simulation.t_final < simulation.dt:
-            raise ConfigError("simulation needs dt > 0 and t_final >= dt")
+        if not 0 < simulation.dt <= simulation.t_final < np.inf:  # NaN fails it too
+            raise ConfigError("simulation needs dt > 0 and t_final >= dt, both finite")
         if not 0.0 < simulation.window_fraction <= 1.0:
             raise ConfigError("simulation.window_fraction must lie in (0, 1]")
 

@@ -170,10 +170,10 @@ def simulate(
     Raises ``UnstableStepError`` when the error closed loop is Hurwitz but
     ``dt`` lies outside its RK4 stability region.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # positive tests, so that NaN fails them
         raise ValueError("dt must be positive")
-    if t_final < dt:
-        raise ValueError("t_final must be at least dt")
+    if not dt <= t_final < np.inf:
+        raise ValueError("t_final must be at least dt and finite")
     k = check_gain(plant, k)
     n, p_dim = plant.n, plant.p
     n_followers = topology.follower_count

@@ -1,8 +1,12 @@
+import errno
+import os
+import signal
+
 import numpy as np
 import pytest
 import yaml
 
-from minellip import scenario
+from minellip import cli, scenario
 from minellip.cli import main
 from minellip.errors import ConfigError
 
@@ -285,6 +289,9 @@ DROP = object()
     ("simulation", "u0", [0.0, 0.0], "u0 must have length 1"),
     ("simulation", "dt", 0.0, "dt > 0 and t_final >= dt"),
     ("simulation", "window_fraction", 1.5, "window_fraction must lie in (0, 1]"),
+    ("simulation", "dt", float("nan"), "dt > 0 and t_final >= dt"),
+    ("simulation", "t_final", float("nan"), "dt > 0 and t_final >= dt"),
+    ("simulation", "t_final", float("inf"), "dt > 0 and t_final >= dt"),
 ])
 def test_scenario_refusals_exit_2(section, key, value, message, tmp_path, outdir, capsys):
     data = bundled_yaml("paper_example1")
@@ -307,6 +314,9 @@ def test_scenario_refusals_exit_2(section, key, value, message, tmp_path, outdir
     (None, ("simulate", "--dt", "-0.1"), "config error: overrides must keep dt > 0"),
     (None, ("simulate", "--dt", "0.5", "--t-final", "0.1"), "config error: overrides must keep"),
     ({"synthesize": {}}, ("verify",), "config error: verify needs an explicit gain.K"),
+    (None, ("simulate", "--dt", "nan"), "config error: overrides must keep"),
+    (None, ("simulate", "--t-final", "nan"), "config error: overrides must keep"),
+    (None, ("simulate", "--t-final", "inf"), "config error: overrides must keep"),
 ])
 def test_command_refusals_exit_2(gain, argv, message, tmp_path, outdir, capsys):
     data = bundled_yaml("scalar_demo")
@@ -325,3 +335,93 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert run("minimize", "--config", scenario.bundled_path("scalar_demo"),
                "--out", blocker) == 2
     assert capsys.readouterr().err.startswith("io error")
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# NaN, infinities, signed zero, the extreme doubles, an exact 17-digit tie (2**-25 has 18
+# significant digits ending in 5) and the neighbours of powers of ten
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 2.0**-25, -(2.0**-25)]
+                   + [np.nextafter(10.0**k, to) for k in (-300, -5, 0, 1, 16, 17, 22, 300)
+                      for to in (0.0, np.inf)] + [10.0**k for k in (-5, 16, 17, 22)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 6145])
+def test_table_writer_bytes_match_savetxt_at_every_share_count(rows, cpus, monkeypatch, tmp_path):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 21)) * 10.0 ** rng.integers(-300, 300, size=(rows, 21))
+    flat = table.reshape(-1)
+    flat[::3] = np.resize(SPECIAL, flat[::3].size)
+    _cpus(monkeypatch, cpus)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    with open(tmp_path / "written.csv", "w") as fh:
+        fh.write("header\n")  # still in the buffer that every child inherits
+        cli._write_table(fh, table)
+    np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",", header="header",
+               comments="")
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(forks) == min(cpus, -(-rows // 2048)) - 1
+    _no_child_left()
+
+
+def test_failed_child_exits_2_and_is_reaped(monkeypatch, outdir, capsys):
+    parent, real = os.getpid(), cli._format_block
+
+    def format_block(block):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in the child")
+        return real(block)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_format_block", format_block)
+    assert run("simulate", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir,
+               "--t-final", "5") == 2
+    assert capsys.readouterr().err.startswith("io error")
+    _no_child_left()
+
+
+def test_failed_parent_write_does_not_hang(monkeypatch):
+    class FullDisk:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    def hang(signum, frame):
+        pytest.fail("the table writer hangs")
+
+    _cpus(monkeypatch, 2)
+    table = np.full((6145, 21), np.pi)  # each child's share is far larger than a pipe buffer
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with pytest.raises(OSError, match="No space left"):
+            cli._write_table(FullDisk(), table)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _no_child_left()
+
+
+def test_small_tables_never_fork(monkeypatch, outdir, tmp_path):
+    def refuse():
+        raise AssertionError("a one-block table forked")
+
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run("simulate", "--config", scenario.bundled_path("paper_example1"), "--out", outdir,
+               "--t-final", "0.01") == 0
+    test_simulate_csv_bytes_match_savetxt("0.001", outdir, tmp_path)

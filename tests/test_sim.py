@@ -483,8 +483,11 @@ def test_invariance_once_inside_stays_inside(scalar_plant, scalar_topology, scal
     (lambda plant, run: run(dist=DisturbanceSpec("none", lambda t, e: np.zeros((len(t), 3)))),
      DimensionMismatchError, "sample must have length 2"),
     (lambda plant, run: metrics(run(), 0.0), ValueError, "window_fraction must lie in"),
+    (lambda plant, run: run(dt=np.nan), ValueError, "dt must be positive"),
+    (lambda plant, run: run(t_final=np.nan), ValueError, "t_final must be at least dt"),
+    (lambda plant, run: run(t_final=np.inf), ValueError, "t_final must be at least dt"),
 ], ids=["sinusoid-args", "sinusoid-length", "custom-sampler", "kind", "dt", "t_final", "u0",
-        "sample-size", "metrics-window"])
+        "sample-size", "metrics-window", "dt-nan", "t_final-nan", "t_final-inf"])
 def test_sim_refusals(call, error, match, paper_plant, fig1_topology, paper_gain, paper_x0):
     def run(u0=(0.0,), dist=None, t_final=0.1, dt=0.01):
         return simulate(paper_plant, fig1_topology, paper_gain, u0, paper_x0,
