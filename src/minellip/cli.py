@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     try:
         cfg = scenario.load(args.config)
         return args.func(cfg, args, _out_dir(cfg, args))
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # a horizon too long to hold is a config error
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

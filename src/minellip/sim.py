@@ -8,8 +8,9 @@ stage, one RK4 step of ``s' = M s + D w`` is exactly the affine map
 ``s+ = Phi s + G_a w_a + G_b w_b + G_c w_c``, ``Phi = p(hM)`` the RK4
 stability polynomial (Hairer, Norsett & Wanner, *Solving ODEs I*), built
 once per run. ``none`` and ``sinusoid`` disturbances do not read the error
-and are sampled at every stage time in one call per run, so a step is one
-matrix-vector product plus one add. Custom samplers are drawn at each stage;
+and are sampled at every stage time in one call per run, so their T steps
+``e+ = Phi e + f`` are solved in chunks of ``ceil(sqrt T)`` steps, each
+product covering all chunks. Custom samplers are drawn at each stage;
 the worst-case (state-feedback) disturbance is drawn once per step from the
 current error and held across its stages, a piecewise-constant realization
 that keeps the integrated vector field smooth within each step. The one that
@@ -21,6 +22,7 @@ checked against the Q bound once, online, before it is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,10 +161,11 @@ def simulate(
     x0 : array (N+1, n)
         Initial states, leader first.
     dist : DisturbanceSpec
-        Shared follower disturbance: ``none``/``sinusoid`` sampled once per run, ``worst_case``
-        once per step (fused into the step when it carries a ``law``), others per stage. Every
-        sample must satisfy ``omega^T Q omega <= 1``; a ``worst_case``/``custom`` one is checked
-        once, online, before the step that uses it. A law's P must have order nN.
+        Shared follower disturbance: ``none``/``sinusoid`` sampled once per run and stepped in
+        chunks, ``worst_case`` once per step (fused into the step when it carries a ``law``),
+        others per stage. Every sample must satisfy ``omega^T Q omega <= 1``; a
+        ``worst_case``/``custom`` one is checked once, online, before the step that uses it. A
+        law's P must have order nN.
     P : optional (nN, nN) array
         When given, it must pass :func:`~minellip.matkit.check_pd`, unless it equals the P
         that ``dist.law`` checked, and ``V = e^T P e`` is recorded alongside the trajectory.
@@ -215,20 +218,17 @@ def simulate(
         leader = np.vstack([leader, leader[: n_steps + 1 - len(leader)] @ psi.T])
         psi = psi @ psi
     times = np.arange(n_steps + 1) * dt
-    errors = np.empty((n_steps + 1, n_followers * n))
-    errors[0] = (x0[1:] - x0[0]).ravel()
+    e0 = (x0[1:] - x0[0]).ravel()
     if open_loop:  # w_c of a step is w_a of the next
         samples = w[0::2]
-        np.matmul(np.hstack([w[:-1:2], w[1::2], w[2::2]]), g.T, out=errors[1:])
-        for prev, e in zip(errors[:-1], errors[1:]):
-            e += phi.dot(prev)
+        errors = _affine_orbit(phi, e0, np.hstack([w[:-1:2], w[1::2], w[2::2]]) @ g.T)
     elif law is not None:  # y = [Phi; Z] e; z -> u in place; [e+; u] = [[I, G L^-T]; [0, I]] y
         m, y = np.vstack([phi, law.Z]), np.empty(nn + p_dim)
         z = y[nn:]
         step = np.eye(nn + p_dim)
         step[:nn, nn:] = g.reshape(-1, 3, p_dim).sum(axis=1) @ law.unwhiten
         rows = np.empty((n_steps + 2, nn + p_dim))  # row k: [e_k, u_{k-1}]
-        rows[0] = np.append(errors[0], np.eye(p_dim)[0])  # u_{-1}: omega = e_1 / sqrt(Q_11)
+        rows[0] = np.append(e0, np.eye(p_dim)[0])  # u_{-1}: omega = e_1 / sqrt(Q_11)
         with np.errstate(over="ignore"):  # an overflowing z^T z or e^T e takes the scaled branch
             for t, e, held, row_next in zip(times, rows[:, :nn], rows[:, nn:], rows[1:]):
                 m.dot(e, out=y)
@@ -254,6 +254,8 @@ def simulate(
         offsets = np.array([0.0, 0.5 * dt, dt])
         if dist.kind == "worst_case":  # held over the step: forcing map G_a + G_b + G_c
             offsets, g = offsets[:1], g.reshape(-1, 3, p_dim).sum(axis=1)
+        errors = np.empty((n_steps + 1, nn))
+        errors[0] = e0
         stages = np.empty((n_steps + 1, len(offsets), p_dim))  # per step: w_a[, w_b, w_c]
         for ts, e, e_next, ws, w in zip(times[:-1, None] + offsets, errors[:-1], errors[1:],
                                         stages, stages.reshape(n_steps + 1, -1)):
@@ -267,7 +269,7 @@ def simulate(
     controls = -(lp.L_tilde @ errors.reshape(-1, n_followers, n) @ k.T).reshape(len(times), -1)
     v = None
     if P is not None:
-        v = np.einsum("ti,ij,tj->t", errors, P, errors)
+        v = np.einsum("ti,ti->t", errors @ P, errors)
     return Trajectory(
         times=times,
         leader_states=leader[:, :n],
@@ -291,6 +293,29 @@ def _rk4_step_map(m: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, n
     return phi, h / 6.0 * np.hstack(g)
 
 
+def _affine_orbit(phi: np.ndarray, e0: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Rows ``e_0 .. e_T`` of ``e_{k+1} = Phi e_k + f_k`` for the T rows of f, in chunks of
+    ``b = ceil(sqrt T)`` steps, each loop iteration one product over all chunks: a zero-state
+    pass gives each chunk's end response r, the chunk starts follow as ``s+ = Phi^b s + r``, and
+    a second pass forms each row as ``f_k + Phi e_k`` (Kogge & Stone, IEEE Trans. Comput. 1973)."""
+    steps, nn = f.shape
+    b = math.isqrt(steps - 1) + 1
+    chunks = -(-steps // b)
+    out = np.zeros((chunks * b + 1, nn))  # zero rows pad the last chunk; they are cut off
+    out[0], out[1:steps + 1] = e0, f
+    x = out[1:].reshape(chunks, b, nn)
+    for j in range(1, b):
+        x[:, j] += x[:, j - 1] @ phi.T
+    phi_b, starts = np.linalg.matrix_power(phi, b), [e0]
+    for end in x[:-1, -1]:
+        starts.append(phi_b @ starts[-1] + end)
+    out[1:steps + 1] = f
+    x[:, 0] += np.array(starts) @ phi.T
+    for j in range(1, b):
+        x[:, j] += x[:, j - 1] @ phi.T
+    return out[:steps + 1]
+
+
 def _admissible(w, t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Samples drawn at the times ``t``, one row each. Raises unless each has length p
     and ``w^T Q w <= 1`` up to ``BOUND_SLACK``; a NaN sample fails."""
@@ -298,7 +323,7 @@ def _admissible(w, t: np.ndarray, q: np.ndarray) -> np.ndarray:
     if w.size != len(t) * len(q):
         raise DimensionMismatchError(f"disturbance sample must have length {len(q)}")
     w = w.reshape(len(t), len(q))
-    inside = np.einsum("ti,ij,tj->t", w, q, w) <= 1.0 + BOUND_SLACK
+    inside = np.einsum("ti,ti->t", w @ q, w) <= 1.0 + BOUND_SLACK
     if not inside.all():
         raise DisturbanceBoundViolatedError(
             f"disturbance sample at t={t[~inside][0]:.6g} violates the Q bound")

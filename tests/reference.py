@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 They restate the protocol agent by agent, the Laplacian spectrum relation,
-stage-by-stage RK4, the worst-case disturbance, the disturbance Gramian, the
-stacked equation of the ellipsoid family and three small matrix helpers; the
-package itself needs none of them.
+stage-by-stage RK4, the affine RK4 recurrence step by step, the worst-case
+disturbance, the disturbance Gramian, the stacked equation of the ellipsoid
+family and three small matrix helpers; the package itself needs none of them.
 """
 
 import numpy as np
@@ -221,3 +221,12 @@ def rk4_stage_loop(plant, topology, k, u0, x0, dist, t_final, dt):
         states[step + 1] = s
     samples[n_steps] = draw(n_steps * dt, s[n:])
     return states[:, :n], states[:, n:], samples
+
+
+def affine_loop(phi, e0, f) -> np.ndarray:
+    """Rows ``e_0 .. e_T`` of ``e_{k+1} = Phi e_k + f_k``, one step at a time."""
+    out = np.empty((len(f) + 1, len(e0)))
+    out[0] = e0
+    for k, f_k in enumerate(f):
+        out[k + 1] = phi @ out[k] + f_k
+    return out

@@ -1,6 +1,11 @@
 import errno
 import os
 import signal
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +334,27 @@ def test_command_refusals_exit_2(gain, argv, message, tmp_path, outdir, capsys):
     assert not (outdir / "scalar_demo_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("t_final", ["1e7", "1e12"])
+def test_horizon_too_long_to_hold_exits_2(t_final, tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # 3 GB: a huge allocation fails at once, never overcommitted
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, hard))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minellip.cli", "simulate", "--out", str(tmp_path),
+         "--config", str(scenario.bundled_path("paper_example1")), "--t-final", t_final],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "paper_example1_trajectory.csv").exists()
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")
@@ -413,6 +439,28 @@ def test_failed_parent_write_does_not_hang(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    _no_child_left()
+
+
+def test_fork_beside_a_live_thread_does_not_warn(monkeypatch, tmp_path):
+    # Python >= 3.12 warns on a fork while the process runs another thread
+    _cpus(monkeypatch, 2)
+    table = np.full((4097, 3), np.pi)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(tmp_path / "written.csv", "w") as fh:
+                cli._write_table(fh, table)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [str(w.message) for w in caught] == []
+    np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _no_child_left()
 
 

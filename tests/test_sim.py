@@ -18,6 +18,8 @@ from minellip.errors import (
     MissingEllipsoidError,
     UnstableStepError,
 )
+from minellip.protocol import closed_loop, disturbance_channel
+from minellip.sim import _affine_orbit, _rk4_step_map
 
 PAPER_AMPS = [0.02, 0.0125]
 PAPER_FREQ = 0.5
@@ -390,6 +392,30 @@ def test_errors_do_not_depend_on_leader_offset(paper_plant, fig1_topology, paper
     np.testing.assert_allclose(offset.V, at_origin.V, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(offset.follower_states - np.tile(offset.leader_states, 3),
                                offset.errors, atol=1e-9)
+
+
+@pytest.mark.parametrize("followers, gain, steps",
+                         [(3, gain, steps) for gain in ("paper", [[0.0, 0.0]], [[-0.5, 0.3]])
+                          for steps in (1, 2, 9, 10, 101, 5000)] + [(100, "designed", 2000)])
+def test_chunked_recurrence_matches_step_loop(followers, gain, steps, paper_plant, fig1_laplacian,
+                                              paper_gain):
+    # T = 1, 2, 9, 10, 101, 5000: one-step chunks, a perfect square and ragged last chunks; the
+    # paper gain is Hurwitz, K = 0 leaves Jordan blocks on the unit circle, and the last one grows
+    from reference import affine_loop
+    from test_graph import random_connected_topology
+
+    rng = np.random.default_rng(steps)
+    lp, k = fig1_laplacian, paper_gain if gain == "paper" else np.array(gain)
+    if followers != 3:
+        lp = build_laplacian(random_connected_topology(rng, followers))
+        k = design_gain(paper_plant, lp, gamma=10.0)
+    phi, g = _rk4_step_map(closed_loop(paper_plant, lp, k),
+                           disturbance_channel(paper_plant, followers), 1e-3)
+    e0, f = rng.normal(size=len(phi)), rng.normal(size=(steps, g.shape[1])) @ g.T
+    want = affine_loop(phi, e0, f)
+    got = _affine_orbit(phi, e0, f)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- metrics -----------------------------------------------------------
