@@ -312,7 +312,7 @@ def cmd_report(cfg, args, out: Path) -> int:
     for path in sorted(out.glob("*.yaml")):
         try:
             data = yaml.safe_load(path.read_text())
-        except yaml.YAMLError:
+        except (yaml.YAMLError, UnicodeDecodeError):  # not a report this tool wrote
             continue
         if not isinstance(data, dict):
             continue
@@ -320,8 +320,10 @@ def cmd_report(cfg, args, out: Path) -> int:
         found = {k: data[k] for k in keys if k in data}
         lines.append(f"{path.name}: " + ", ".join(f"{k}={v}" for k, v in found.items()))
     for path in sorted(out.glob("*_verify.txt")):
-        verdict = path.read_text().strip().splitlines()[-1]
-        lines.append(f"{path.name}: {verdict}")
+        try:
+            lines.append(f"{path.name}: {path.read_text().strip().splitlines()[-1]}")
+        except (IndexError, UnicodeDecodeError):  # empty or not text: skipped like bad YAML
+            continue
     if len(lines) == 1:
         lines.append("(no prior outputs found)")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")

@@ -6,18 +6,18 @@ certificates are stated for, are integrated separately with classical RK4;
 follower states are ``e + 1_N (x) sigma0``. With the forcing held at each
 stage, one RK4 step of ``s' = M s + D w`` is exactly the affine map
 ``s+ = Phi s + G_a w_a + G_b w_b + G_c w_c``, ``Phi = p(hM)`` the RK4
-stability polynomial (Hairer, Norsett & Wanner, *Solving ODEs I*), built
-once per run. ``none`` and ``sinusoid`` disturbances do not read the error
-and are sampled at every stage time in one call per run, so their T steps
-``e+ = Phi e + f`` are solved in chunks of ``ceil(sqrt T)`` steps, each
-product covering all chunks. Custom samplers are drawn at each stage;
-the worst-case (state-feedback) disturbance is drawn once per step from the
-current error and held across its stages, a piecewise-constant realization
-that keeps the integrated vector field smooth within each step. The one that
-``make_disturbance`` builds is fused into the step: ``y = [Phi; Z] e`` gives
-``Phi e`` and the whitened readout z of its law, z becomes the sample u in
-place, and ``[I, G L^-T] y`` is the next error. Each of these samples is
-checked against the Q bound once, online, before it is used.
+stability polynomial (Hairer, Norsett & Wanner, *Solving ODEs I*), built once
+per run. Each kind of source has one stepping path. ``none`` and ``sinusoid``
+disturbances do not read the error and are sampled at every stage time in one
+call per run, so their T steps ``e+ = Phi e + f`` are solved in chunks of
+``ceil(sqrt T)`` steps, each product covering all chunks. The worst-case
+(state-feedback) disturbance is drawn by its law once per step from the
+current error, held across its stages (a piecewise-constant realization that
+keeps the integrated vector field smooth within each step) and fused into the
+step: ``y = [Phi; Z] e`` gives ``Phi e`` and the whitened readout z of the
+law, z becomes the sample u in place, and ``[I, G L^-T] y`` is the next error.
+Custom samplers are drawn at each stage. Each of their samples is checked
+against the Q bound once, online, before it is used.
 """
 
 from __future__ import annotations
@@ -45,16 +45,16 @@ BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """A disturbance source: kind tag plus a sampler ``(t, e) -> omega``.
+    """A disturbance source: kind tag plus a sampler ``(t, e) -> omega``, or a law.
 
-    The kind sets when the simulator draws (see the module docstring); the
+    The kind sets how the simulator draws (see the module docstring); the
     ``none`` and ``sinusoid`` samplers take an array of times and return one
-    row per time. A ``worst_case`` source with a ``law`` is stepped by that law,
-    not by its sampler. Every sample is checked against the quadratic bound.
+    row per time. A ``worst_case`` source is stepped by its ``law``, not by a
+    sampler. Every sample is checked against the quadratic bound.
     """
 
     kind: str
-    sampler: Callable[[float, np.ndarray], np.ndarray]
+    sampler: Callable[[float, np.ndarray], np.ndarray] | None
     law: WorstCaseLaw | None = None
 
 
@@ -74,9 +74,9 @@ def make_disturbance(
         amplitude vector must satisfy the Q bound, which is checked here
         since the supremum over time is attained at full swing.
         ``"worst_case"``: :func:`~minellip.ellipsoid.worst_case_law` at the
-        current error (``P`` must pass that law's checks), carried as ``law``; its
-        ``unit`` holds the previous sample, or ``e_1 / sqrt(Q_11)`` at start, whenever
-        the direction degenerates.
+        current error (``P`` must pass that law's checks), carried as ``law`` with no
+        sampler; the simulation holds the previous sample, or ``e_1 / sqrt(Q_11)`` at
+        start, whenever the direction degenerates.
         ``"custom"``: user sampler, validated against the bound online.
     """
     p_dim = plant.p
@@ -98,15 +98,7 @@ def make_disturbance(
     if kind == "worst_case":
         if P is None:
             raise MissingEllipsoidError("worst_case disturbance needs an ellipsoid matrix P")
-        law = worst_case_law(P, plant)
-        held = np.eye(p_dim)[0]  # whitened: omega = e_1 / sqrt(Q_11) until a direction exists
-
-        def sampler(t, e):
-            nonlocal held
-            held = law.unit(e, held)
-            return law.unwhiten.dot(held)
-
-        return DisturbanceSpec(kind, sampler, law)
+        return DisturbanceSpec(kind, None, worst_case_law(P, plant))
     if kind == "custom":
         if sample is None:
             raise ValueError("custom disturbance needs a sample function")
@@ -157,13 +149,13 @@ def simulate(
     Parameters
     ----------
     u0 : vector of length m
-        Known constant leader input, fed forward to every follower.
+        Known constant leader input, fed forward to every follower; finite.
     x0 : array (N+1, n)
-        Initial states, leader first.
+        Initial states, leader first; finite.
     dist : DisturbanceSpec
         Shared follower disturbance: ``none``/``sinusoid`` sampled once per run and stepped in
-        chunks, ``worst_case`` once per step (fused into the step when it carries a ``law``),
-        others per stage. Every sample must satisfy ``omega^T Q omega <= 1``; a
+        chunks, ``worst_case`` by its ``law`` once per step (``MissingEllipsoidError`` without
+        one), others per stage. Every sample must satisfy ``omega^T Q omega <= 1``; a
         ``worst_case``/``custom`` one is checked once, online, before the step that uses it. A
         law's P must have order nN.
     P : optional (nN, nN) array
@@ -189,7 +181,11 @@ def simulate(
             f"x0 must hold {(n_followers + 1)} states of dimension {n}, got size {x0.size}"
         )
     x0 = x0.reshape(n_followers + 1, n)
+    if not (np.isfinite(x0).all() and np.isfinite(u0).all()):
+        raise ValueError("x0 and u0 must be finite")
     nn, law = n_followers * n, dist.law
+    if dist.kind == "worst_case" and law is None:
+        raise MissingEllipsoidError("a worst_case source needs the law make_disturbance builds")
     if law is not None and len(law.P) != nn:
         raise DimensionMismatchError(f"the worst-case law's P has order {len(law.P)}, not {nn}")
     if P is not None:  # a P equal to the one the law checked is not checked again
@@ -252,11 +248,9 @@ def simulate(
                     f"disturbance sample at t={t:.6g} violates the Q bound")
 
         offsets = np.array([0.0, 0.5 * dt, dt])
-        if dist.kind == "worst_case":  # held over the step: forcing map G_a + G_b + G_c
-            offsets, g = offsets[:1], g.reshape(-1, 3, p_dim).sum(axis=1)
         errors = np.empty((n_steps + 1, nn))
         errors[0] = e0
-        stages = np.empty((n_steps + 1, len(offsets), p_dim))  # per step: w_a[, w_b, w_c]
+        stages = np.empty((n_steps + 1, 3, p_dim))  # per step: w_a, w_b, w_c
         for ts, e, e_next, ws, w in zip(times[:-1, None] + offsets, errors[:-1], errors[1:],
                                         stages, stages.reshape(n_steps + 1, -1)):
             for t, out in zip(ts, ws):
@@ -266,7 +260,8 @@ def simulate(
         draw(times[-1], errors[-1], stages[-1, 0])
         samples = np.ascontiguousarray(stages[:, 0])
 
-    controls = -(lp.L_tilde @ errors.reshape(-1, n_followers, n) @ k.T).reshape(len(times), -1)
+    ke = k @ errors.T.reshape(n_followers, n, -1)  # K e_i of each follower i, (N, m, T)
+    controls = -(lp.L_tilde @ ke.reshape(n_followers, -1)).reshape(-1, len(times)).T
     v = None
     if P is not None:
         v = np.einsum("ti,ti->t", errors @ P, errors)

@@ -219,6 +219,9 @@ def test_malformed_q0_exits_2(tmp_path, outdir, capsys):
 
 def test_report_collects_outputs(outdir):
     run("minimize", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir)
+    # outputs that report cannot read are skipped: an empty verify record, YAML not in UTF-8
+    (outdir / "empty_verify.txt").write_text("")
+    (outdir / "latin1.yaml").write_bytes("trace: \xe9".encode("latin-1"))
     assert run("report", "--config", scenario.bundled_path("scalar_demo"),
                "--out", outdir) == 0
     summary = (outdir / "summary.txt").read_text()

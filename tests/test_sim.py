@@ -69,23 +69,31 @@ def test_worst_case_needs_p(paper_plant, fig1_topology, paper_gain, paper_x0):
         simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
 
 
-def test_worst_case_samples_on_unit_sphere(paper_plant, paper_minimization):
+def test_worst_case_samples_on_unit_sphere(paper_plant, fig1_topology, paper_gain, paper_x0,
+                                           paper_minimization):
     spec = make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        w = spec.sampler(0.0, rng.normal(size=6))
+    traj = simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, spec, 2.0, 1e-3)
+    law, held = spec.law, np.eye(paper_plant.p)[0]
+    samples = [law.unwhiten @ law.unit(e, held)
+               for e in np.random.default_rng(0).normal(size=(10, 6))]
+    for w in np.vstack([traj.disturbances, samples]):
         assert w @ paper_plant.Q @ w == pytest.approx(1.0, abs=1e-9)
 
 
-def test_worst_case_falls_back_to_previous_sample(paper_plant):
+def test_worst_case_falls_back_to_previous_sample(paper_plant, fig1_topology, paper_gain):
     # with P = I the growth direction is Q^-1 (e_1 + e_2 + e_3) up to scale; an
     # error whose follower errors cancel has none, and the last sample is held
     spec = make_disturbance("worst_case", paper_plant, P=np.eye(6))
-    start = spec.sampler(0.0, np.zeros(6))
-    np.testing.assert_array_equal(start, [1.0 / np.sqrt(paper_plant.Q[0, 0]), 0.0])
-    w = spec.sampler(0.1, np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(w, [0.0, 1.0 / np.sqrt(paper_plant.Q[1, 1])], atol=1e-15)
-    np.testing.assert_array_equal(spec.sampler(0.2, np.array([1.0, 2.0, -1.0, -2.0, 0.0, 0.0])), w)
+    law, start = spec.law, np.eye(paper_plant.p)[0]
+    assert law.unit(np.zeros(6), start) is start
+    u = law.unit(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]), start)
+    np.testing.assert_allclose(law.unwhiten @ u, [0.0, 1.0 / np.sqrt(paper_plant.Q[1, 1])],
+                               atol=1e-15)
+    assert law.unit(np.array([1.0, 2.0, -1.0, -2.0, 0.0, 0.0]), u) is u
+    # a fused run whose follower errors cancel at t = 0 draws e_1 / sqrt(Q_11) first
+    x0 = np.array([[0.5, -0.25], [1.5, 1.75], [-0.5, -2.25], [0.5, -0.25]])
+    traj = simulate(paper_plant, fig1_topology, paper_gain, [0.0], x0, spec, 0.1, 1e-2)
+    np.testing.assert_array_equal(traj.disturbances[0], [1.0 / np.sqrt(paper_plant.Q[0, 0]), 0.0])
 
 
 def test_none_is_zero(paper_plant):
@@ -140,19 +148,17 @@ def test_custom_sample_refused_before_any_later_draw(bad, onset, paper_plant, fi
     assert max(called) == pytest.approx(onset, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["custom", "worst_case"])
-def test_sample_of_wrong_length_is_refused(kind, paper_plant, fig1_topology, paper_gain,
-                                           paper_x0):
+def test_sample_of_wrong_length_is_refused(paper_plant, fig1_topology, paper_gain, paper_x0):
     # p = 2: a length-1 sample must not broadcast, a length-3 one must not be cut
     for bad in (np.array([0.01]), np.full(3, 0.01)):
-        dist = DisturbanceSpec(kind, lambda t, e, bad=bad: bad)
+        dist = DisturbanceSpec("custom", lambda t, e, bad=bad: bad)
         with pytest.raises(DimensionMismatchError, match="length 2"):
             simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
 
 
 def test_worst_case_from_zero_error_starts_on_fallback(paper_plant, fig1_topology, paper_gain,
                                                        paper_minimization):
-    from reference import rk4_stage_loop
+    from reference import rk4_stage_loop, worst_case_reference
 
     # e0 = 0 gives no growth direction: the first sample is e_1 / sqrt(Q_11),
     # after which the forced error picks the direction up
@@ -160,7 +166,7 @@ def test_worst_case_from_zero_error_starts_on_fallback(paper_plant, fig1_topolog
     traj = simulate(*args, make_disturbance("worst_case", paper_plant,
                                             P=paper_minimization.P_star), 2.0, 1e-3)
     leader, errors, samples = rk4_stage_loop(
-        *args, make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star), 2.0, 1e-3)
+        *args, worst_case_reference(paper_minimization.P_star, paper_plant), 2.0, 1e-3)
     np.testing.assert_array_equal(traj.disturbances[0],
                                   [1.0 / np.sqrt(paper_plant.Q[0, 0]), 0.0])
     for got, want in ((traj.errors, errors), (traj.leader_states, leader),
@@ -203,10 +209,11 @@ def test_fused_worst_case_matches_independent_oracle(case, paper_plant, fig1_top
 
 def test_worst_case_with_nan_start_is_refused_at_t0(paper_plant, fig1_topology, paper_gain,
                                                     paper_x0, paper_minimization):
+    # refused as a start before any step, not as the NaN sample it would draw at t = 0
     x0 = paper_x0.copy()
     x0[2, 1] = np.nan
     dist = make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star)
-    with pytest.raises(DisturbanceBoundViolatedError, match="t=0 "):
+    with pytest.raises(ValueError, match="x0 and u0 must be finite"):
         simulate(paper_plant, fig1_topology, paper_gain, [0.0], x0, dist, 1.0, 1e-2)
 
 
@@ -278,16 +285,25 @@ def test_unstable_rk4_step_is_refused(paper_plant, fig1_topology, paper_gain, pa
 
 
 def test_controls_match_stacked_protocol(paper_plant, fig1_topology, paper_gain, paper_x0):
-    from minellip import build_laplacian
     from reference import stacked_control
+    from test_graph import random_connected_topology
 
-    dist = make_disturbance("sinusoid", paper_plant, amplitudes=PAPER_AMPS,
-                            angular_frequency=PAPER_FREQ)
-    traj = simulate(paper_plant, fig1_topology, paper_gain, [0.25], paper_x0, dist, 0.5, 1e-2)
-    lp = build_laplacian(fig1_topology)
-    for idx in (0, 17, 50):
-        expected = stacked_control(lp, paper_gain, traj.errors[idx], [0.25])
-        np.testing.assert_allclose(traj.controls[idx], expected, atol=1e-12)
+    # the paper system, and N = 10 followers with m = 2 inputs, where a transposition of
+    # the follower and input axes shows
+    rng = np.random.default_rng(2)
+    plant2 = PlantModel(A=paper_plant.A, B=np.eye(2), E=paper_plant.E, Q=paper_plant.Q,
+                        eta=paper_plant.eta)
+    topology2 = random_connected_topology(rng, 10)
+    cases = [(paper_plant, fig1_topology, paper_gain, [0.25], paper_x0),
+             (plant2, topology2, design_gain(plant2, build_laplacian(topology2), gamma=10.0),
+              [0.25, -0.5], rng.normal(size=(11, 2)))]
+    for plant, topology, k, u0, x0 in cases:
+        dist = make_disturbance("sinusoid", plant, amplitudes=PAPER_AMPS,
+                                angular_frequency=PAPER_FREQ)
+        traj = simulate(plant, topology, k, u0, x0, dist, 0.5, 1e-2)
+        lp = build_laplacian(topology)
+        for e, u in zip(traj.errors, traj.controls, strict=True):
+            np.testing.assert_allclose(u, stacked_control(lp, k, e, u0), atol=1e-12)
 
 
 def test_agent_states_match_agent_level_rk4(paper_plant, fig1_topology, paper_gain, paper_x0):
@@ -320,14 +336,19 @@ def test_agent_states_match_agent_level_rk4(paper_plant, fig1_topology, paper_ga
 
 
 def oracle_cases(plant, n_followers, direction):
-    """Fresh ``none``, ``sinusoid``, error-reading ``custom`` and ``worst_case``
-    sources along a Q-unit ``direction``, for an error of ``n_followers`` agents."""
-    return [make_disturbance("none", plant),
-            make_disturbance("sinusoid", plant, amplitudes=0.9 * direction,
-                             angular_frequency=1.3),
-            make_disturbance("custom", plant,
-                             sample=lambda t, e: 0.9 * np.sin(2.0 * t + e[0]) * direction),
-            make_disturbance("worst_case", plant, P=np.eye(n_followers * plant.n))]
+    """``none``, ``sinusoid``, error-reading ``custom`` and ``worst_case`` sources along a
+    Q-unit ``direction``, for an error of ``n_followers`` agents, each paired with the source
+    its oracle draws from: the same one, or the closed form of the worst case."""
+    from reference import worst_case_reference
+
+    p = np.eye(n_followers * plant.n)
+    sources = [make_disturbance("none", plant),
+               make_disturbance("sinusoid", plant, amplitudes=0.9 * direction,
+                                angular_frequency=1.3),
+               make_disturbance("custom", plant,
+                                sample=lambda t, e: 0.9 * np.sin(2.0 * t + e[0]) * direction)]
+    return [(s, s) for s in sources] + [(make_disturbance("worst_case", plant, P=p),
+                                         worst_case_reference(p, plant))]
 
 
 @pytest.mark.parametrize("followers", [3, 10])
@@ -345,9 +366,7 @@ def test_affine_step_matches_stage_loop(followers, paper_plant, fig1_topology, p
     u0 = [0.3]
     direction = rng.normal(size=paper_plant.p)
     direction /= np.sqrt(direction @ paper_plant.Q @ direction)
-    # each side gets its own sources: the worst-case sampler remembers its last sample
-    for dist, ref_dist in zip(oracle_cases(paper_plant, followers, direction),
-                              oracle_cases(paper_plant, followers, direction)):
+    for dist, ref_dist in oracle_cases(paper_plant, followers, direction):
         traj = simulate(paper_plant, topology, k, u0, x0, dist, 2.0, 1e-3)
         leader, errors, samples = rk4_stage_loop(paper_plant, topology, k, u0, x0, ref_dist,
                                                  2.0, 1e-3)
@@ -512,11 +531,19 @@ def test_invariance_once_inside_stays_inside(scalar_plant, scalar_topology, scal
     (lambda plant, run: run(dt=np.nan), ValueError, "dt must be positive"),
     (lambda plant, run: run(t_final=np.nan), ValueError, "t_final must be at least dt"),
     (lambda plant, run: run(t_final=np.inf), ValueError, "t_final must be at least dt"),
+    (lambda plant, run: run(x0=[[0.0, 0.0], [1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]),
+     ValueError, "x0 and u0 must be finite"),
+    (lambda plant, run: run(u0=[np.inf]), ValueError, "x0 and u0 must be finite"),
+    # refused before its sampler is ever called
+    (lambda plant, run: run(dist=DisturbanceSpec(
+        "worst_case", lambda t, e: pytest.fail("law-less worst_case sampler was called"))),
+     MissingEllipsoidError, "needs the law make_disturbance builds"),
 ], ids=["sinusoid-args", "sinusoid-length", "custom-sampler", "kind", "dt", "t_final", "u0",
-        "sample-size", "metrics-window", "dt-nan", "t_final-nan", "t_final-inf"])
+        "sample-size", "metrics-window", "dt-nan", "t_final-nan", "t_final-inf", "x0-nan",
+        "u0-inf", "worst_case-without-law"])
 def test_sim_refusals(call, error, match, paper_plant, fig1_topology, paper_gain, paper_x0):
-    def run(u0=(0.0,), dist=None, t_final=0.1, dt=0.01):
-        return simulate(paper_plant, fig1_topology, paper_gain, u0, paper_x0,
+    def run(u0=(0.0,), x0=paper_x0, dist=None, t_final=0.1, dt=0.01):
+        return simulate(paper_plant, fig1_topology, paper_gain, u0, x0,
                         dist or make_disturbance("none", paper_plant), t_final, dt)
 
     with pytest.raises(error, match=match):
