@@ -27,12 +27,11 @@ from .ellipsoid import (
     check_invariant,
     find_beta,
     minimize_trace,
-    worst_case_law,
 )
 from .errors import ConfigError, NotHurwitzError, ToolkitError
 from .gainsynth import consensus_feasible, optimize_gain
 from .graph import build_laplacian
-from .protocol import disturbance_channel, modal_form
+from .protocol import modal_form
 from .sim import make_disturbance, metrics, simulate
 
 EXIT_OK = 0
@@ -85,7 +84,6 @@ def cmd_verify(cfg, args, out: Path) -> int:
         raise ConfigError("verify needs an explicit gain.K in the scenario")
     k = cfg.gain
     lp = build_laplacian(cfg.topology)
-    rng = np.random.default_rng(args.seed)
 
     feasible = consensus_feasible(cfg.plant, lp)
     lines = [f"consensus feasible (spanning tree + stabilizable): {'yes' if feasible else 'no'}"]
@@ -116,26 +114,6 @@ def cmd_verify(cfg, args, out: Path) -> int:
         input_ok = check_input_bound(lp, k, p_used, cfg.plant.eta)
         lines.append(f"input bound at eta={cfg.plant.eta:.6g}: {'pass' if input_ok else 'fail'}")
         ok &= input_ok
-
-        # Random-direction oracle: the analytic worst direction must dominate
-        # seeded random Q-unit samples in the growth inner product.
-        law = worst_case_law(p_used, cfg.plant)
-        ones_e = disturbance_channel(cfg.plant, cfg.topology.follower_count)
-        q_sqrt_inv = np.linalg.inv(np.linalg.cholesky(cfg.plant.Q)).T
-        dominated = True
-        for _ in range(20):
-            e = rng.normal(size=p_used.shape[0])
-            w_star = law(e)
-            if w_star is None:
-                continue
-            v = ones_e.T @ (p_used @ e)
-            best = float(w_star @ v)
-            g = rng.normal(size=(200, cfg.plant.p))
-            candidates = (g / np.linalg.norm(g, axis=1, keepdims=True)) @ q_sqrt_inv.T
-            dominated &= bool((candidates @ v <= best + 1e-12 * (1 + abs(best))).all())
-        lines.append(f"worst-direction dominance over random samples (seed={args.seed}): "
-                     f"{'pass' if dominated else 'fail'}")
-        ok &= dominated
 
     lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
     _emit(out, cfg, "verify", lines)
@@ -348,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="scenario YAML file")
         sp.add_argument("--out", default=None, help="output directory override")
         if name == "verify":
-            sp.add_argument("--seed", type=int, default=0, help="seed for random-direction oracles")
+            sp.add_argument("--seed", type=int, default=0, help="accepted and ignored (existing callers)")
         if name == "simulate":
             sp.add_argument("--dt", type=float, default=None, help="integration step override")
             sp.add_argument("--t-final", type=float, default=None, help="horizon override")

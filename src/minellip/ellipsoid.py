@@ -59,8 +59,8 @@ class MinimizationResult:
 
 def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) -> np.ndarray:
     """Symmetric block matrix of the invariance test; P must pass ``check_pd`` at order nN."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:  # NaN fails it too
+        raise ValueError("beta must be positive and finite")
     return _block(plant, lp, k, matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0], beta)
 
 
@@ -239,7 +239,7 @@ def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
     <= eta^2 (1 + 1e-7)`` through the Cholesky factor ``P = C C^T``. The margin
     is relative to eta^2, so the largest eigenvalues of an ill-conditioned P
     cannot loosen it. P must pass :func:`~minellip.matkit.check_pd`, which yields C."""
-    if eta <= 0.0:
+    if not eta > 0.0:  # NaN fails it too; inf means no input bound
         raise ValueError("eta must be positive")
     r = np.kron(lp.L_tilde, matkit.as_matrix(k, "K"))
     z = np.linalg.solve(matkit.check_pd(P, r.shape[1], "P")[1], r.T)

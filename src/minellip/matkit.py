@@ -178,8 +178,8 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
     if b.shape[0] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape}")
     q0 = check_pd(q0, n, "q0")[0]
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:  # NaN fails it too
+        raise ValueError("gamma must be positive and finite")
 
     w, v = np.linalg.eig(np.block([[a, -gamma * (b @ b.T)], [-q0, -a.T]]))
     v = v[:, w.real < 0.0]

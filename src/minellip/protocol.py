@@ -43,7 +43,7 @@ class PlantModel:
             raise DimensionMismatchError(f"E must have {n} rows, got {self.E.shape}")
         self.Q = matkit.check_pd(self.Q, self.p, "Q")[0]
         self.eta = float(self.eta)
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:  # NaN fails it too; inf means no input bound
             raise ValueError("eta must be positive")
 
     @property

@@ -92,8 +92,8 @@ def from_dict(data: dict) -> ScenarioConfig:
             synthesize = {}
             if "gamma_grid" in syn and syn["gamma_grid"] is not None:
                 grid = [float(g) for g in syn["gamma_grid"]]
-                if not grid or any(g <= 0 for g in grid):
-                    raise ConfigError("gain.synthesize.gamma_grid must hold positive values")
+                if not grid or not all(0 < g < np.inf for g in grid):  # NaN fails it too
+                    raise ConfigError("gain.synthesize.gamma_grid must hold positive values, all finite")
                 synthesize["gamma_grid"] = grid
             if "q0" in syn and syn["q0"] is not None:
                 synthesize["q0"] = check_pd(syn["q0"], plant.n, "gain.synthesize.q0")[0]
@@ -120,8 +120,8 @@ def from_dict(data: dict) -> ScenarioConfig:
                 f"simulation.x0 must be {(followers + 1, plant.n)}, got {x0.shape}"
             )
         u0 = np.atleast_1d(np.asarray(_require(sim_sec, "u0", "simulation"), dtype=float))
-        if u0.shape != (plant.m,):
-            raise ConfigError(f"simulation.u0 must have length {plant.m}")
+        if u0.shape != (plant.m,) or not np.isfinite(u0).all():
+            raise ConfigError(f"simulation.u0 must have length {plant.m}, all finite")
         simulation = SimulationSettings(
             x0=x0,
             u0=u0,

@@ -267,6 +267,19 @@ def test_verify_given_p(scale, code, line, tmp_path, outdir):
     assert report[-1] == ("verdict: PASS" if code == 0 else "verdict: FAIL")
 
 
+def test_verify_output_does_not_depend_on_seed(tmp_path, capsys):
+    # --seed is accepted for existing callers and changes nothing
+    outputs = []
+    for seed in (0, 7):
+        out = tmp_path / f"seed{seed}"
+        assert run("verify", "--config", scenario.bundled_path("paper_example1"),
+                   "--out", out, "--seed", seed) == 0
+        outputs.append((capsys.readouterr().out, (out / "paper_example1_verify.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "dominance" not in outputs[0][0]
+    assert outputs[0][0].splitlines()[-1] == "verdict: PASS"
+
+
 @pytest.mark.parametrize("a", [1e-9, 1e9])
 def test_verify_passes_at_any_time_scale(a, tmp_path, outdir):
     # A and K x a: the paper system on time scale 1/a, beta* x a
@@ -300,6 +313,13 @@ DROP = object()
     ("simulation", "dt", float("nan"), "dt > 0 and t_final >= dt"),
     ("simulation", "t_final", float("nan"), "dt > 0 and t_final >= dt"),
     ("simulation", "t_final", float("inf"), "dt > 0 and t_final >= dt"),
+    ("simulation", "u0", [float("nan")], "u0 must have length 1, all finite"),
+    ("simulation", "u0", [float("inf")], "u0 must have length 1, all finite"),
+    ("gain", None, {"synthesize": {"gamma_grid": [float("nan")]}}, "positive values, all finite"),
+    ("gain", None, {"synthesize": {"gamma_grid": [float("inf")]}}, "positive values, all finite"),
+    ("gain", None, {"synthesize": {"gamma_grid": [1.0, float("nan")]}},
+     "positive values, all finite"),
+    ("plant", "eta", float("nan"), "eta must be positive"),
 ])
 def test_scenario_refusals_exit_2(section, key, value, message, tmp_path, outdir, capsys):
     data = bundled_yaml("paper_example1")

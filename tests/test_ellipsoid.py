@@ -471,7 +471,11 @@ def test_ill_conditioned_p_star_certifies(paper_plant, paper_gain):
     (lambda plant, lp, k, p: invariance_block(plant, lp, k, p, 0.0), "beta must be positive"),
     (lambda plant, lp, k, p: check_invariant(plant, lp, k, p, -1.0), "beta must be positive"),
     (lambda plant, lp, k, p: check_input_bound(lp, k, p, 0.0), "eta must be positive"),
-], ids=["block-beta", "check_invariant-beta", "input-bound-eta"])
+    (lambda plant, lp, k, p: invariance_block(plant, lp, k, p, np.nan), "beta must be positive"),
+    (lambda plant, lp, k, p: check_invariant(plant, lp, k, p, np.inf), "beta must be positive"),
+    (lambda plant, lp, k, p: check_input_bound(lp, k, p, np.nan), "eta must be positive"),
+], ids=["block-beta", "check_invariant-beta", "input-bound-eta", "block-beta-nan",
+        "check_invariant-beta-inf", "input-bound-eta-nan"])
 def test_nonpositive_beta_or_eta_refused(call, match, paper_plant, fig1_laplacian, paper_gain,
                                          paper_minimization):
     with pytest.raises(ValueError, match=match):

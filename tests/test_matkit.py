@@ -338,9 +338,13 @@ def wilkinson(n):
     # its own equation and the residual check refuses it
     (lambda: sylvester_solve(wilkinson(60), np.zeros((1, 1)), np.arange(60.0)[:, None]),
      SingularSylvesterError, r"^Sylvester relative residual \d\.\d{3}e[-+]\d{2} above 1e-09$"),
+    (lambda: are_solve(np.eye(2), np.ones((2, 1)), np.eye(2), np.nan), ValueError,
+     "gamma must be positive and finite"),
+    (lambda: are_solve(np.eye(2), np.ones((2, 1)), np.eye(2), np.inf), ValueError,
+     "gamma must be positive and finite"),
 ], ids=["as_matrix-1d", "as_matrix-nan", "check_symmetric-shape", "spectrum-shape",
         "spectrum-inf", "sylvester-shapes", "lyap-shapes", "are-a", "are-b", "are-gamma",
-        "sylvester-residual"])
+        "sylvester-residual", "are-gamma-nan", "are-gamma-inf"])
 def test_matkit_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -170,7 +170,9 @@ def test_error_rhs_matches_full_state_finite_difference(paper_plant, fig1_topolo
     (lambda p: PlantModel(A=p.A, B=p.B, E=p.E, Q=p.Q, eta=0.0), ValueError,
      "eta must be positive"),
     (lambda p: check_gain(p, np.ones((2, 2))), DimensionMismatchError, "K must be 1x2"),
-], ids=["A-square", "E-rows", "eta", "K-shape"])
+    (lambda p: PlantModel(A=p.A, B=p.B, E=p.E, Q=p.Q, eta=np.nan), ValueError,
+     "eta must be positive"),
+], ids=["A-square", "E-rows", "eta", "K-shape", "eta-nan"])
 def test_protocol_refusals(call, error, match, paper_plant):
     with pytest.raises(error, match=match):
         call(paper_plant)
