@@ -33,7 +33,7 @@ from .errors import (
 from .graph import LaplacianPair
 from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 1 - 1/phi
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -89,27 +89,44 @@ def _certificate(block: np.ndarray, beta: float) -> InvarianceCertificate:
 
 
 def _log_golden_min(f, beta_max: float, rtol: float) -> float:
-    """Minimizer of a convex ``f`` on ``(0, beta_max)``: golden-section search
-    in log beta on ``[1e-6, 1 - 1e-6] * beta_max`` to relative width ``rtol``.
-    Convex in beta is unimodal in log beta, so no pre-scan is needed. The trace
+    """Minimizer of a convex ``f`` on ``(0, beta_max)`` to relative accuracy ``rtol``: Brent's
+    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) in log beta on
+    ``[1e-6, 1 - 1e-6] * beta_max`` from ``beta_max / 2``, the scalar family's minimizer. It
+    steps to the vertex of the parabola through the three best points, or golden-section into
+    the larger side where that vertex leaves the bracket or the step would not halve the one
+    before last. Convex in beta is unimodal in log beta, so no pre-scan is needed. The trace
     ``tr X(b) = int_0^inf (e^{bt}/b) tr(e^{A_cl t} G e^{A_cl^T t}) dt`` is strictly
     convex, as ``d^2/db^2 (e^{bt}/b) = e^{bt} ((bt - 1)^2 + 1) / b^3 > 0``, and
     ``M0 + b P + P G P / b`` is matrix-convex, so ``find_beta``'s lambda_max is
     convex (Boyd et al., *LMIs in System and Control Theory*, SIAM 1994)."""
-    a, b = np.log(1e-6 * beta_max), np.log((1.0 - 1e-6) * beta_max)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(float(np.exp(c))), f(float(np.exp(d)))
-    while (b - a) > rtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(float(np.exp(c)))
+    a, b = math.log(1e-6 * beta_max), math.log((1.0 - 1e-6) * beta_max)
+    tol = 0.5 * math.log1p(rtol)  # the bracket around x ends within 2 tol of x
+    x = w = v = math.log(0.5 * beta_max)
+    fx = fw = fv = f(0.5 * beta_max)
+    d = e = 0.0  # the last step and the one before it
+    while max(x - a, b - x) > 2.0 * tol:
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)  # the parabola through v, w and x
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (r - q)  # has its vertex at x + p / q
+        p, q = (p, q) if q >= 0.0 else (-p, -q)
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, a + b - 2.0 * x)
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(float(np.exp(d)))
-    return float(np.exp(0.5 * (a + b)))
+            e = (a if 2.0 * x >= a + b else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(math.exp(u))
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return math.exp(x)
 
 
 def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
@@ -151,13 +168,13 @@ def _family_setup(plant: PlantModel, lp: LaplacianPair, k):
     return modal, 0.5 * (w + w.T), -2.0 * abscissa
 
 
-def _diagonal_blocks(modal: ModalForm, w: np.ndarray, beta: float, reg: float = 0.0):
-    """The N diagonal blocks of X(beta) in modal coordinates, one batched solve
-    of ``(A_i + beta/2) X_ii + X_ii (A_i + beta/2)^T + (c_i^2 W + reg I) / beta = 0``."""
+def _diagonal_blocks(modal: ModalForm, w: np.ndarray, beta: float, op, reg: float = 0.0):
+    """X(beta)'s N modal diagonal blocks by one LU of ``op + beta I``, ``op = kron_sum(A_i, A_i)``:
+    ``(A_i + beta/2) X_ii + X_ii (A_i + beta/2)^T + (c_i^2 W + reg I) / beta = 0``."""
     eye = np.eye(w.shape[0])
     shifted = modal.blocks + 0.5 * beta * eye
     rhs = (modal.c[:, None, None] ** 2 * w + reg * eye) / beta
-    return matkit.sylvester_solve(shifted, shifted, rhs)
+    return matkit.sylvester_solve(shifted, shifted, rhs, op + beta * np.eye(op.shape[-1]))
 
 
 def _family_at(modal: ModalForm, w: np.ndarray, beta: float) -> np.ndarray:
@@ -177,7 +194,8 @@ def _family_at(modal: ModalForm, w: np.ndarray, beta: float) -> np.ndarray:
         # the widening lands on the diagonal blocks only.
         reg = 1e-8 * max(float(modal.c @ modal.c) * float(np.linalg.eigvalsh(w)[-1]), 1e-30)
         modes = np.arange(n_followers)
-        y[modes, :, modes] = _diagonal_blocks(modal, w, beta, reg)
+        y[modes, :, modes] = _diagonal_blocks(
+            modal, w, beta, matkit.kron_sum(modal.blocks, modal.blocks), reg)
     return y.reshape(n_followers * n, -1)
 
 
@@ -211,14 +229,15 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     """Minimize ``tr(X)`` (sum of squared semiaxes of the ellipsoid of
     ``P = X^{-1}``) over the one-parameter equality family.
 
-    Golden-section search in log beta narrows beta* to relative width 1e-8; an
-    evaluation solves only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``,
-    O(N n^6), and X* is assembled once, at beta*.
+    Brent's method in log beta finds beta* to relative accuracy 1e-8; an evaluation solves
+    only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``, O(N n^6), each checked, by
+    one batched LU of ``kron_sum(A_i, A_i) + beta I`` built once; X* is assembled at beta*.
     """
     modal, w, beta_max = _family_setup(plant, lp, k)
+    op = matkit.kron_sum(modal.blocks, modal.blocks)
     beta_star = _log_golden_min(
-        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta))), beta_max, 1e-8
-    )
+        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta, op))),
+        beta_max, 1e-8)
     y = _family_at(modal, w, beta_star)
     x_star = _stacked(modal.U, y)
     # P is inverted before the rotation, where unreachable modes stay

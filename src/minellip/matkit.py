@@ -4,8 +4,10 @@ The solvers favour simple, verifiable algorithms on small dense matrices
 (order n, not nN): one Kronecker kernel, :func:`sylvester_solve`, solves a
 batch of small Sylvester equations in one LU call and serves the n x n
 modal blocks of the ellipsoid analysis; :func:`lyap_solve` is its one-item
-Lyapunov form. The Riccati solver seeds from the stable invariant subspace
-of the Hamiltonian and polishes with Newton steps of those.
+Lyapunov form. Their operator comes from :func:`kron_sum`; a caller that
+shifts m and n by s I builds it once and adds ``2 s I``. The Riccati solver
+seeds from the stable invariant subspace of the Hamiltonian and polishes
+with Newton steps of those.
 """
 
 from __future__ import annotations
@@ -86,24 +88,30 @@ def spectrum(m) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=w, spectral_abscissa=float(w.real.max()))
 
 
-def sylvester_solve(m, n, c) -> np.ndarray:
+def kron_sum(m, n) -> np.ndarray:
+    """The batched operator ``m (x) I_b + I_a (x) n`` of ``m X + X n^T``, X vectorized by rows."""
+    a, b = m.shape[-1], n.shape[-1]
+    op = (m[..., :, None, :, None] * np.eye(b)[:, None, :]
+          + np.eye(a)[:, None, :, None] * n[..., None, :, None, :])
+    return op.reshape(op.shape[:-4] + (a * b, a * b))
+
+
+def sylvester_solve(m, n, c, op=None) -> np.ndarray:
     """Solve ``m_k X_k + X_k n_k^T + c_k = 0`` for every item k of a batch:
     m is (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast.
 
-    Each item is vectorized row by row, ``(m (x) I_b + I_a (x) n) vec(X) =
-    -vec(c)``, and the batch of ``ab x ab`` systems goes to one LU call. The
-    operator is never diagonalized, so defective m or n cost no accuracy.
-    Raises ``SingularSylvesterError`` when an eigenvalue of ``m_k`` plus one
-    of ``n_k`` is zero or an item misses :func:`check_residual`.
+    Each item is vectorized row by row, ``kron_sum(m, n) vec(X) = -vec(c)`` (``op``,
+    if given, is that operator), and the batch goes to one LU call. The operator
+    is never diagonalized, so defective m or n cost no accuracy. Raises
+    ``SingularSylvesterError`` when an eigenvalue of ``m_k`` plus one of ``n_k``
+    is zero or an item misses :func:`check_residual` (on m, n and c, not op).
     """
     m, n, c = (np.asarray(x, dtype=float) for x in (m, n, c))
     a, b = m.shape[-1], n.shape[-1]
     if m.shape[-2:] != (a, a) or n.shape[-2:] != (b, b) or c.shape[-2:] != (a, b):
         raise ValueError(f"shapes {m.shape}, {n.shape}, {c.shape} do not form m X + X n^T + c")
-    op = (m[..., :, None, :, None] * np.eye(b)[:, None, :]
-          + np.eye(a)[:, None, :, None] * n[..., None, :, None, :])
     try:
-        x = np.linalg.solve(op.reshape(op.shape[:-4] + (a * b, a * b)),
+        x = np.linalg.solve(kron_sum(m, n) if op is None else op,
                             -c.reshape(c.shape[:-2] + (a * b, 1)))
     except np.linalg.LinAlgError as exc:
         raise SingularSylvesterError("an eigenvalue of m plus one of n is zero") from exc

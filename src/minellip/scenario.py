@@ -106,12 +106,13 @@ def from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError(f"disturbance.kind must be one of {_DISTURBANCE_KINDS}, got {kind!r}")
         if kind == "sinusoid":
             amps = np.asarray(_require(dist_sec, "amplitudes", "disturbance"), dtype=float).ravel()
-            if amps.shape != (plant.p,):
-                raise ConfigError(f"disturbance.amplitudes must have length {plant.p}")
+            if amps.shape != (plant.p,) or not np.isfinite(amps).all():
+                raise ConfigError(f"disturbance.amplitudes must have length {plant.p}, all finite")
             dist_sec["amplitudes"] = [float(a) for a in amps]
-            dist_sec["angular_frequency"] = float(
-                _require(dist_sec, "angular_frequency", "disturbance")
-            )
+            freq = float(_require(dist_sec, "angular_frequency", "disturbance"))
+            if not np.isfinite(freq):
+                raise ConfigError("disturbance.angular_frequency must be finite")
+            dist_sec["angular_frequency"] = freq
 
         sim_sec = _require(data, "simulation", "scenario")
         x0 = as_matrix(_require(sim_sec, "x0", "simulation"), "simulation.x0")

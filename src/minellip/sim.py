@@ -88,12 +88,14 @@ def make_disturbance(
         amps = np.asarray(amplitudes, dtype=float).ravel()
         if amps.shape != (p_dim,):
             raise DimensionMismatchError(f"amplitudes must have length {p_dim}")
-        peak = float(amps @ plant.Q @ amps)
+        peak = float(amps @ plant.Q @ amps) if np.isfinite(amps).all() else np.inf
         if not peak <= 1.0 + BOUND_SLACK:
             raise DisturbanceBoundViolatedError(
                 f"sinusoid peak violates the bound: amplitudes give {peak:.6g} > 1"
             )
         w = float(angular_frequency)
+        if not np.isfinite(w):
+            raise ValueError("sinusoid needs a finite angular_frequency")
         return DisturbanceSpec(kind, lambda t, e: np.multiply.outer(np.sin(w * t), amps))
     if kind == "worst_case":
         if P is None:

@@ -3,7 +3,8 @@
 They restate the protocol agent by agent, the Laplacian spectrum relation,
 stage-by-stage RK4, the affine RK4 recurrence step by step, the worst-case
 disturbance, the disturbance Gramian, the stacked equation of the ellipsoid
-family and three small matrix helpers; the package itself needs none of them.
+family, plain golden-section search in log beta and three small matrix
+helpers; the package itself needs none of them.
 """
 
 import numpy as np
@@ -230,3 +231,23 @@ def affine_loop(phi, e0, f) -> np.ndarray:
     for k, f_k in enumerate(f):
         out[k + 1] = phi @ out[k] + f_k
     return out
+
+
+def golden_log_min(f, beta_max, rtol) -> float:
+    """Golden-section search for the minimizer of a unimodal ``f`` in log beta on
+    ``[1e-6, 1 - 1e-6] * beta_max``, to bracket width ``rtol``: the midpoint of the
+    final bracket, after ``ceil(log_phi(ln((1 - 1e-6) / 1e-6) / rtol)) + 2`` evaluations."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.log(1e-6 * beta_max), np.log((1.0 - 1e-6) * beta_max)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(np.exp(c)), f(np.exp(d))
+    while b - a > rtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(np.exp(d))
+    return float(np.exp(0.5 * (a + b)))

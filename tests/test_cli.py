@@ -96,13 +96,22 @@ def test_simulate_unstable_step_exits_1(tmp_path, outdir):
     assert not (outdir / "paper_example1_trajectory.csv").exists()
 
 
-def test_simulate_nan_frequency_exits_1(tmp_path, outdir):
+@pytest.mark.parametrize("key, value", [
+    ("angular_frequency", float("nan")),
+    ("angular_frequency", float("inf")),
+    ("amplitudes", [float("nan"), 0.0]),
+    ("amplitudes", [0.0, float("-inf")]),
+], ids=["frequency-nan", "frequency-inf", "amplitude-nan", "amplitude-inf"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "minimize"])
+def test_non_finite_sinusoid_exits_2(command, key, value, tmp_path, outdir, capsys):
+    # every command loads the scenario first, so each refuses it alike
     data = bundled_yaml("paper_example1")
-    data["disturbance"]["angular_frequency"] = float("nan")
-    path = tmp_path / "nan_frequency.yaml"
+    data["disturbance"][key] = value
+    path = tmp_path / "non_finite_sinusoid.yaml"
     path.write_text(yaml.safe_dump(data))
-    assert run("simulate", "--config", path, "--out", outdir, "--t-final", "0.5") == 1
-    assert not (outdir / "paper_example1_trajectory.csv").exists()
+    assert run(command, "--config", path, "--out", outdir) == 2
+    assert capsys.readouterr().err.startswith(f"config error: disturbance.{key} must")
+    assert not outdir.exists() or not any(outdir.iterdir())
 
 
 def test_malformed_ellipsoid_p_exits_2(tmp_path, outdir, capsys):

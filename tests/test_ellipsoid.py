@@ -22,7 +22,7 @@ from minellip import (
     worst_disturbance,
 )
 from minellip.ellipsoid import _log_golden_min
-from minellip import ellipsoid, scenario
+from minellip import ellipsoid, matkit, scenario
 from minellip.errors import (
     BetaOutOfRangeError,
     ConfigError,
@@ -33,7 +33,14 @@ from minellip.errors import (
 )
 from minellip.matkit import lyap_solve
 from minellip.protocol import modal_form
-from reference import disturbance_gramian, family_residual, is_pd, solves_family, widening
+from reference import (
+    disturbance_gramian,
+    family_residual,
+    golden_log_min,
+    is_pd,
+    solves_family,
+    widening,
+)
 
 
 def scalar_family_reference(beta):
@@ -340,24 +347,90 @@ def test_trace_convex_along_family(paper_plant, fig1_laplacian, paper_gain,
 
 
 def test_log_golden_min_convex_objectives():
-    # golden-section search needs no pre-scan on a convex objective: it finds
-    # the minimizer anywhere in [1e-6, 1 - 1e-6] * beta_max to relative width
-    # rtol, in a number of evaluations fixed by the bracket and rtol alone
+    # the search needs no pre-scan on a convex objective: it finds the minimizer
+    # anywhere in [1e-6, 1 - 1e-6] * beta_max to relative accuracy rtol, on a smooth
+    # objective and on an asymmetric kink in log beta like find_beta's lambda_max,
+    # within the evaluations that plain golden-section search needs to reach rtol
     beta_max, golden_ratio = 2.5, (1.0 + np.sqrt(5.0)) / 2.0
     width = np.log((1 - 1e-6) / 1e-6)
+    objectives = {
+        "smooth": lambda beta, beta0: ((np.log(beta) - np.log(beta0)) ** 2
+                                       + ((beta - beta0) / beta_max) ** 2),
+        "kinked": lambda beta, beta0: max(3.0 * (np.log(beta0) - np.log(beta)),
+                                          0.2 * (np.log(beta) - np.log(beta0))),
+    }
     for rtol, budget in ((1e-8, 46), (1e-9, 51)):
         assert budget == int(np.ceil(np.log(width / rtol) / np.log(golden_ratio))) + 2
         for frac in (3e-6, 1e-3, 0.3, 0.9, 1 - 3e-6):
             beta0 = frac * beta_max
-            calls = []
+            for name, objective in objectives.items():
+                calls = []
 
-            def f(beta):
-                calls.append(beta)
-                return (np.log(beta) - np.log(beta0)) ** 2 + ((beta - beta0) / beta_max) ** 2
+                def f(beta):
+                    calls.append(beta)
+                    return objective(beta, beta0)
 
-            beta = _log_golden_min(f, beta_max, rtol)
-            assert abs(beta / beta0 - 1.0) <= rtol
-            assert len(calls) <= budget
+                beta = _log_golden_min(f, beta_max, rtol)
+                assert abs(beta / beta0 - 1.0) <= rtol, (name, rtol, frac)
+                assert len(calls) <= budget, (name, rtol, frac)
+
+
+@pytest.mark.parametrize("followers", [3, 10, 20])
+def test_trace_search_matches_scipy_and_golden_section(followers, paper_plant, paper_gain):
+    # Brent's search against SciPy's bounded minimizer over log beta on the same
+    # bracket; the trace is flat at beta*, so it must not move from the value that
+    # golden-section search finds
+    from test_graph import random_connected_topology
+
+    rng = np.random.default_rng((2024, followers))
+    lp = build_laplacian(random_connected_topology(rng, followers))
+    res = minimize_trace(paper_plant, lp, paper_gain)
+    assert res.beta_star == pytest.approx(scipy_min_trace(paper_plant, lp, paper_gain)[0],
+                                          rel=1e-6)
+
+    def trace(beta):
+        return np.trace(family_solution(paper_plant, lp, paper_gain, beta))
+
+    beta_golden = golden_log_min(trace, res.beta_max, 1e-8)
+    assert res.trace_value == pytest.approx(trace(beta_golden), rel=1e-12)
+
+
+@pytest.mark.parametrize("system", ["paper_example1", "seeded N=10"])
+def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, paper_plant,
+                                                           paper_gain):
+    if system == "paper_example1":
+        cfg = scenario.load_bundled(system)
+        plant, lp, k = cfg.plant, build_laplacian(cfg.topology), cfg.gain
+    else:
+        plant, k = paper_plant, paper_gain
+        lp = build_laplacian(Topology(adjacency=seeded_adjacency(10, 7)))
+    checks = []
+    check_residual = matkit.check_residual
+    monkeypatch.setattr(matkit, "check_residual",
+                        lambda *args: checks.append(args) or check_residual(*args))
+    search = ellipsoid._log_golden_min
+    evaluations = []
+
+    def counted_search(f, beta_max, rtol):
+        def counted(beta):
+            before = len(checks)
+            value = f(beta)
+            evaluations.append((beta, checks[before:]))
+            return value
+
+        return search(counted, beta_max, rtol)
+
+    monkeypatch.setattr(ellipsoid, "_log_golden_min", counted_search)
+    minimize_trace(plant, lp, k)
+    assert 0 < len(evaluations) <= 24
+    # one residual check per evaluation, on the shifted blocks themselves, not
+    # on the operator the solve reused
+    blocks = modal_form(plant, lp, k).blocks
+    for beta, calls in evaluations:
+        assert len(calls) == 1
+        m, n = calls[0][:2]
+        np.testing.assert_array_equal(m, blocks + 0.5 * beta * np.eye(plant.n))
+        np.testing.assert_array_equal(n, m)
 
 
 def test_minimizer_is_locally_optimal(paper_plant, fig1_laplacian, paper_gain,

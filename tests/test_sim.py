@@ -49,8 +49,8 @@ def test_sinusoid_peak_level(paper_plant):
 
 
 def test_sinusoid_rejects_excessive_amplitudes(paper_plant):
-    # a NaN amplitude has no finite peak and must fail the bound as well
-    for amps in ([0.05, 0.02], [np.nan, 0.0]):
+    # a NaN or infinite amplitude has no finite peak and must fail the bound as well
+    for amps in ([0.05, 0.02], [np.nan, 0.0], [0.0, np.inf]):
         with pytest.raises(DisturbanceBoundViolatedError):
             make_disturbance("sinusoid", paper_plant, amplitudes=amps,
                              angular_frequency=PAPER_FREQ)
@@ -538,9 +538,15 @@ def test_invariance_once_inside_stays_inside(scalar_plant, scalar_topology, scal
     (lambda plant, run: run(dist=DisturbanceSpec(
         "worst_case", lambda t, e: pytest.fail("law-less worst_case sampler was called"))),
      MissingEllipsoidError, "needs the law make_disturbance builds"),
+    (lambda plant, run: make_disturbance("sinusoid", plant, amplitudes=PAPER_AMPS,
+                                         angular_frequency=np.nan),
+     ValueError, "needs a finite angular_frequency"),
+    (lambda plant, run: make_disturbance("sinusoid", plant, amplitudes=PAPER_AMPS,
+                                         angular_frequency=-np.inf),
+     ValueError, "needs a finite angular_frequency"),
 ], ids=["sinusoid-args", "sinusoid-length", "custom-sampler", "kind", "dt", "t_final", "u0",
         "sample-size", "metrics-window", "dt-nan", "t_final-nan", "t_final-inf", "x0-nan",
-        "u0-inf", "worst_case-without-law"])
+        "u0-inf", "worst_case-without-law", "sinusoid-frequency-nan", "sinusoid-frequency-inf"])
 def test_sim_refusals(call, error, match, paper_plant, fig1_topology, paper_gain, paper_x0):
     def run(u0=(0.0,), x0=paper_x0, dist=None, t_final=0.1, dt=0.01):
         return simulate(paper_plant, fig1_topology, paper_gain, u0, x0,
