@@ -12,7 +12,6 @@ from .ellipsoid import (
     MinimizationResult,
     check_input_bound,
     check_invariant,
-    family_solution,
     find_beta,
     invariance_block,
     minimize_trace,
@@ -48,7 +47,6 @@ __all__ = [
     "consensus_feasible",
     "design_gain",
     "eig_sym",
-    "family_solution",
     "find_beta",
     "has_spanning_tree",
     "invariance_block",

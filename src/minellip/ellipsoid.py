@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .errors import (
-    BetaOutOfRangeError,
-    DegenerateDirectionError,
-    DimensionMismatchError,
-    NotHurwitzError,
-)
+from .errors import DegenerateDirectionError, DimensionMismatchError, NotHurwitzError
 from .graph import LaplacianPair
 from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
 
@@ -61,14 +56,20 @@ def invariance_block(plant: PlantModel, lp: LaplacianPair, k, P, beta: float) ->
     """Symmetric block matrix of the invariance test; P must pass ``check_pd`` at order nN."""
     if not 0.0 < beta < np.inf:  # NaN fails it too
         raise ValueError("beta must be positive and finite")
-    return _block(plant, lp, k, matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0], beta)
+    P = matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0]
+    return _block(*_block_terms(plant, lp, k, P), P, beta, plant.Q)
 
 
-def _block(plant: PlantModel, lp: LaplacianPair, k, P: np.ndarray, beta: float) -> np.ndarray:
-    """:func:`invariance_block` for a P that passed ``check_pd``."""
+def _block_terms(plant: PlantModel, lp: LaplacianPair, k, P: np.ndarray):
+    """``M0 = P A_cl + A_cl^T P`` and ``H = P (1_N (x) E)``, the parts of the block that do
+    not depend on beta, for a P that passed ``check_pd``."""
     a_cl = closed_loop(plant, lp, k)
-    off = P @ disturbance_channel(plant, lp.L_tilde.shape[0])
-    return np.block([[P @ a_cl + a_cl.T @ P + beta * P, off], [off.T, -beta * plant.Q]])
+    return P @ a_cl + a_cl.T @ P, P @ disturbance_channel(plant, lp.L_tilde.shape[0])
+
+
+def _block(m0: np.ndarray, h: np.ndarray, P: np.ndarray, beta: float, Q: np.ndarray):
+    """The block ``[[M0 + beta P, H], [H^T, -beta Q]]`` from :func:`_block_terms`."""
+    return np.block([[m0 + beta * P, h], [h.T, -beta * Q]])
 
 
 def check_invariant(
@@ -144,9 +145,7 @@ def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
     abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa
     if abscissa >= 0.0:
         return None
-    a_cl = closed_loop(plant, lp, k)
-    m0 = P @ a_cl + a_cl.T @ P
-    h = P @ disturbance_channel(plant, lp.L_tilde.shape[0])
+    m0, h = _block_terms(plant, lp, k, P)
     pgp = h @ np.linalg.solve(plant.Q, h.T)
     pgp = 0.5 * (pgp + pgp.T)
 
@@ -154,7 +153,7 @@ def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
         return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
 
     beta = _log_golden_min(schur_max_eig, -2.0 * abscissa, 1e-9)
-    return beta if _certificate(_block(plant, lp, k, P, beta), beta).feasible else None
+    return beta if _certificate(_block(m0, h, P, beta, plant.Q), beta).feasible else None
 
 
 def _family_setup(plant: PlantModel, lp: LaplacianPair, k):
@@ -177,10 +176,11 @@ def _diagonal_blocks(modal: ModalForm, w: np.ndarray, beta: float, op, reg: floa
     return matkit.sylvester_solve(shifted, shifted, rhs, op + beta * np.eye(op.shape[-1]))
 
 
-def _family_at(modal: ModalForm, w: np.ndarray, beta: float) -> np.ndarray:
+def _family_at(modal: ModalForm, w: np.ndarray, beta: float, op) -> np.ndarray:
     """X(beta) in modal coordinates: the nN x nN matrix of the N^2 blocks ``X_ij`` of
     ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T + c_i c_j W / beta = 0``, solved in one
-    batched call; :func:`_stacked` maps it to the stacked X."""
+    batched call; :func:`_stacked` maps it to the stacked X. ``op = kron_sum(A_i, A_i)``
+    serves the widening's re-solve of the diagonal blocks."""
     n_followers, n = modal.blocks.shape[:2]
     shifted = modal.blocks + 0.5 * beta * np.eye(n)
     y = matkit.sylvester_solve(shifted[:, None], shifted[None],
@@ -194,8 +194,7 @@ def _family_at(modal: ModalForm, w: np.ndarray, beta: float) -> np.ndarray:
         # the widening lands on the diagonal blocks only.
         reg = 1e-8 * max(float(modal.c @ modal.c) * float(np.linalg.eigvalsh(w)[-1]), 1e-30)
         modes = np.arange(n_followers)
-        y[modes, :, modes] = _diagonal_blocks(
-            modal, w, beta, matkit.kron_sum(modal.blocks, modal.blocks), reg)
+        y[modes, :, modes] = _diagonal_blocks(modal, w, beta, op, reg)
     return y.reshape(n_followers * n, -1)
 
 
@@ -206,23 +205,6 @@ def _stacked(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = (u @ y.reshape(len(u), -1)).reshape(y.shape)  # (U (x) I_n) Y
     x = (u @ x.T.reshape(len(u), -1)).reshape(y.shape)  # (U (x) I_n) x^T = X^T
     return 0.5 * (x + x.T)
-
-
-def family_solution(plant: PlantModel, lp: LaplacianPair, k, beta: float) -> np.ndarray:
-    """Unique solution X of the equality family at multiplier ``beta``:
-
-        (A_cl + beta/2 I) X + X (A_cl + beta/2 I)^T
-            + (1/beta) (1_N (x) E) Q^{-1} (1_N (x) E)^T = 0.
-
-    Requires A_cl Hurwitz and ``0 < beta < -2 * abscissa(A_cl)``.
-    ``P = X^{-1}`` then satisfies the invariance block test with equality of
-    its Schur complement. Solved as N^2 modal Sylvester blocks of order n
-    in one batched call: O(N^2 n^6 + (nN)^3).
-    """
-    modal, w, beta_max = _family_setup(plant, lp, k)
-    if not 0.0 < beta < beta_max:
-        raise BetaOutOfRangeError(f"beta must lie in (0, {beta_max:.6g}), got {beta}")
-    return _stacked(modal.U, _family_at(modal, w, beta))
 
 
 def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResult:
@@ -238,7 +220,7 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     beta_star = _log_golden_min(
         lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta, op))),
         beta_max, 1e-8)
-    y = _family_at(modal, w, beta_star)
+    y = _family_at(modal, w, beta_star, op)
     x_star = _stacked(modal.U, y)
     # P is inverted before the rotation, where unreachable modes stay
     # decoupled, so an ill-conditioned X costs P no accuracy
@@ -294,10 +276,6 @@ class WorstCaseLaw:
         r = math.sqrt(z.dot(z))
         return held if r <= self.floor * math.sqrt(e.dot(e)) else z / r
 
-    def __call__(self, e: np.ndarray) -> np.ndarray | None:
-        u = self.unit(e)
-        return None if u is None else self.unwhiten.dot(u)
-
 
 def worst_case_law(P, plant: PlantModel) -> WorstCaseLaw:
     """The map ``e -> omega*`` to the admissible disturbance that maximizes
@@ -322,7 +300,8 @@ def worst_case_law(P, plant: PlantModel) -> WorstCaseLaw:
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:
     """:func:`worst_case_law` at ``e``; ``DegenerateDirectionError`` where the
     direction degenerates."""
-    omega = worst_case_law(P, plant)(np.asarray(e, dtype=float).ravel())
-    if omega is None:
+    law = worst_case_law(P, plant)
+    u = law.unit(np.asarray(e, dtype=float).ravel())
+    if u is None:
         raise DegenerateDirectionError("P e is orthogonal to the disturbance channel")
-    return omega
+    return law.unwhiten.dot(u)

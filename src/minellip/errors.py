@@ -39,10 +39,6 @@ class InvalidTopologyError(ToolkitError):
     """A communication topology violates the leader-follower graph class."""
 
 
-class BetaOutOfRangeError(ToolkitError):
-    """The S-procedure multiplier lies outside the solvable interval."""
-
-
 class NotHurwitzError(ToolkitError):
     """A matrix required to be Hurwitz has spectral abscissa >= 0."""
 

@@ -129,8 +129,9 @@ def check_residual(m, n, x, c) -> None:
     def fro(y):
         return np.sqrt(np.einsum("...ij,...ij->...", y, y))
 
+    fro_m = fro(m)  # n is m in every lyap_solve and trace evaluation
     ratio = fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
-        1e-30, 0.5 * (fro(m) + fro(n)) * fro(x) + fro(c))
+        1e-30, 0.5 * (fro_m + (fro_m if n is m else fro(n))) * fro(x) + fro(c))
     if np.any(ratio > DEFAULT_TOL):
         raise SingularSylvesterError(
             f"Sylvester relative residual {float(np.max(ratio)):.3e} above {DEFAULT_TOL:g}")

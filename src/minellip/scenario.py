@@ -73,7 +73,10 @@ def from_dict(data: dict) -> ScenarioConfig:
 
         topo_sec = _require(data, "topology", "scenario")
         adjacency = as_matrix(_require(topo_sec, "adjacency", "topology"), "topology.adjacency")
-        followers = int(_require(topo_sec, "followers", "topology"))
+        followers = float(_require(topo_sec, "followers", "topology"))
+        if not followers.is_integer():
+            raise ConfigError(f"topology.followers must be a whole number, got {followers}")
+        followers = int(followers)
         if adjacency.shape[0] != followers + 1:
             raise ConfigError(
                 f"topology.followers={followers} inconsistent with adjacency {adjacency.shape}"
@@ -136,10 +139,10 @@ def from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError("simulation.window_fraction must lie in (0, 1]")
 
         out_sec = _require(data, "output", "scenario")
-        output = OutputSettings(
-            directory=str(_require(out_sec, "directory", "output")),
-            file_prefix=str(_require(out_sec, "file_prefix", "output")),
-        )
+        names = [_require(out_sec, key, "output") for key in ("directory", "file_prefix")]
+        if any(name in (None, "") for name in names):
+            raise ConfigError("output.directory and output.file_prefix must not be null or empty")
+        output = OutputSettings(*map(str, names))
 
         ellipsoid_P = None
         if "ellipsoid" in data and data["ellipsoid"]:

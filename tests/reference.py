@@ -4,12 +4,14 @@ They restate the protocol agent by agent, the Laplacian spectrum relation,
 stage-by-stage RK4, the affine RK4 recurrence step by step, the worst-case
 disturbance, the disturbance Gramian, the stacked equation of the ellipsoid
 family, plain golden-section search in log beta and three small matrix
-helpers; the package itself needs none of them.
+helpers; the package itself needs none of them. :func:`family_solution`, the
+ellipsoid family at any beta, is the exception: it wraps the package's own
+modal solve, which the package itself runs only at beta*.
 """
 
 import numpy as np
 
-from minellip import matkit
+from minellip import ellipsoid, matkit
 from minellip.errors import DimensionMismatchError
 from minellip.graph import build_laplacian
 from minellip.protocol import check_gain, closed_loop, disturbance_channel
@@ -143,6 +145,21 @@ def solves_family(plant, lp, k, x, beta) -> bool:
     :func:`widening`, within ``matkit.DEFAULT_TOL``."""
     return min(family_residual(plant, lp, k, x, beta, reg)
                for reg in (0.0, widening(plant, lp))) <= matkit.DEFAULT_TOL
+
+
+def family_solution(plant, lp, k, beta) -> np.ndarray:
+    """The stacked solution X of the equality family at multiplier ``beta``,
+
+        (A_cl + beta/2 I) X + X (A_cl + beta/2 I)^T
+            + (1/beta) (1_N (x) E) Q^{-1} (1_N (x) E)^T = 0,
+
+    by the package's modal solve (``NotHurwitzError`` unless A_cl is Hurwitz);
+    ``ValueError`` unless ``0 < beta < -2 * abscissa(A_cl)``."""
+    modal, w, beta_max = ellipsoid._family_setup(plant, lp, k)
+    if not 0.0 < beta < beta_max:
+        raise ValueError(f"beta must lie in (0, {beta_max:.6g}), got {beta}")
+    op = matkit.kron_sum(modal.blocks, modal.blocks)
+    return ellipsoid._stacked(modal.U, ellipsoid._family_at(modal, w, beta, op))
 
 
 def stacked_control(lp, k, e, u0) -> np.ndarray:

@@ -30,7 +30,7 @@ from minellip import (
 from minellip import PlantModel, scenario
 from minellip.errors import NoSpanningTreeError, NotStabilizableError
 from minellip.matkit import are_solve
-from reference import kron
+from reference import family_solution, kron
 
 SQRT2 = np.sqrt(2.0)
 
@@ -89,8 +89,6 @@ def test_criterion_1_laplacian_regression(fig1_topology):
 
 
 def test_criterion_2_scalar_oracles(scalar_plant, scalar_laplacian, scalar_gain):
-    from minellip import family_solution
-
     grid = np.linspace(0.08, 1.92, 20)
     family_ok = all(
         abs(family_solution(scalar_plant, scalar_laplacian, scalar_gain, b)[0, 0]

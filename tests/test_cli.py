@@ -329,6 +329,12 @@ DROP = object()
     ("gain", None, {"synthesize": {"gamma_grid": [1.0, float("nan")]}},
      "positive values, all finite"),
     ("plant", "eta", float("nan"), "eta must be positive"),
+    ("output", "directory", None, "output.directory and output.file_prefix must not be null"),
+    ("output", "directory", "", "output.directory and output.file_prefix must not be null"),
+    ("output", "file_prefix", None, "output.directory and output.file_prefix must not be null"),
+    ("output", "file_prefix", "", "output.directory and output.file_prefix must not be null"),
+    ("topology", "followers", 3.5, "topology.followers must be a whole number, got 3.5"),
+    ("topology", "followers", float("inf"), "topology.followers must be a whole number"),
 ])
 def test_scenario_refusals_exit_2(section, key, value, message, tmp_path, outdir, capsys):
     data = bundled_yaml("paper_example1")

@@ -13,7 +13,6 @@ from minellip import (
     check_input_bound,
     check_invariant,
     closed_loop,
-    family_solution,
     find_beta,
     invariance_block,
     make_disturbance,
@@ -24,7 +23,6 @@ from minellip import (
 from minellip.ellipsoid import _log_golden_min
 from minellip import ellipsoid, matkit, scenario
 from minellip.errors import (
-    BetaOutOfRangeError,
     ConfigError,
     DegenerateDirectionError,
     DimensionMismatchError,
@@ -36,6 +34,7 @@ from minellip.protocol import modal_form
 from reference import (
     disturbance_gramian,
     family_residual,
+    family_solution,
     golden_log_min,
     is_pd,
     solves_family,
@@ -278,9 +277,9 @@ def test_family_diverges_at_interval_edge(scalar_plant, scalar_laplacian, scalar
     x_inner = family_solution(scalar_plant, scalar_laplacian, scalar_gain, 1.0)
     x_edge = family_solution(scalar_plant, scalar_laplacian, scalar_gain, 2.0 - 1e-6)
     assert x_edge[0, 0] > 1e4 * x_inner[0, 0]
-    with pytest.raises(BetaOutOfRangeError):
+    with pytest.raises(ValueError, match="beta must lie in"):
         family_solution(scalar_plant, scalar_laplacian, scalar_gain, 2.5)
-    with pytest.raises(BetaOutOfRangeError):
+    with pytest.raises(ValueError, match="beta must lie in"):
         family_solution(scalar_plant, scalar_laplacian, scalar_gain, -0.1)
 
 
@@ -431,6 +430,30 @@ def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, 
         m, n = calls[0][:2]
         np.testing.assert_array_equal(m, blocks + 0.5 * beta * np.eye(plant.n))
         np.testing.assert_array_equal(n, m)
+
+
+def counted_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records the arguments of each call."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_find_beta_builds_the_closed_loop_once(monkeypatch, paper_plant, fig1_laplacian,
+                                               paper_gain, paper_minimization):
+    # the closing certificate reuses the M0 and H that the search was built from
+    calls = counted_calls(monkeypatch, ellipsoid, "closed_loop")
+    assert find_beta(paper_plant, fig1_laplacian, paper_gain, paper_minimization.P_star)
+    assert len(calls) == 1
+
+
+def test_widening_reuses_the_trace_search_operator(monkeypatch, paper_plant, fig1_laplacian,
+                                                   paper_gain):
+    ops = counted_calls(monkeypatch, matkit, "kron_sum")
+    solves = counted_calls(monkeypatch, ellipsoid, "_diagonal_blocks")
+    minimize_trace(paper_plant, fig1_laplacian, paper_gain)
+    assert len(solves[-1]) == 5 and solves[-1][4] > 0.0  # the widening fired, with its reg
+    assert sum(m.ndim == 3 for m, _ in ops) == 1  # kron_sum(A_i, A_i), once per call
 
 
 def test_minimizer_is_locally_optimal(paper_plant, fig1_laplacian, paper_gain,
