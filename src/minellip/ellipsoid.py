@@ -89,21 +89,20 @@ def _certificate(block: np.ndarray, beta: float) -> InvarianceCertificate:
                                  feasible=max_eig <= 1e-7 * (1.0 + float(np.abs(w).max())))
 
 
-def _log_golden_min(f, beta_max: float, rtol: float) -> float:
-    """Minimizer of a convex ``f`` on ``(0, beta_max)`` to relative accuracy ``rtol``: Brent's
-    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) in log beta on
-    ``[1e-6, 1 - 1e-6] * beta_max`` from ``beta_max / 2``, the scalar family's minimizer. It
-    steps to the vertex of the parabola through the three best points, or golden-section into
-    the larger side where that vertex leaves the bracket or the step would not halve the one
-    before last. Convex in beta is unimodal in log beta, so no pre-scan is needed. The trace
-    ``tr X(b) = int_0^inf (e^{bt}/b) tr(e^{A_cl t} G e^{A_cl^T t}) dt`` is strictly
-    convex, as ``d^2/db^2 (e^{bt}/b) = e^{bt} ((bt - 1)^2 + 1) / b^3 > 0``, and
-    ``M0 + b P + P G P / b`` is matrix-convex, so ``find_beta``'s lambda_max is
-    convex (Boyd et al., *LMIs in System and Control Theory*, SIAM 1994)."""
-    a, b = math.log(1e-6 * beta_max), math.log((1.0 - 1e-6) * beta_max)
+def _log_golden_min(f, lo: float, hi: float, rtol: float, start: float) -> float:
+    """Minimizer of a convex ``f`` on ``[lo, hi]`` to relative accuracy ``rtol``: Brent's
+    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) in log beta from
+    ``start``. It steps to the vertex of the parabola through the three best points, or
+    golden-section into the larger side where that vertex leaves the bracket or the step
+    would not halve the one before last. Convex in beta is unimodal in log beta, so no
+    pre-scan is needed. The trace ``tr X(b) = int_0^inf (e^{bt}/b) tr(e^{A_cl t} G
+    e^{A_cl^T t}) dt`` is strictly convex, as ``d^2/db^2 (e^{bt}/b) = e^{bt} ((bt - 1)^2 + 1)
+    / b^3 > 0``, and ``M0 + b P + P G P / b`` is matrix-convex, so ``find_beta``'s lambda_max
+    is convex (Boyd et al., *LMIs in System and Control Theory*, SIAM 1994)."""
+    a, b = math.log(lo), math.log(hi)
     tol = 0.5 * math.log1p(rtol)  # the bracket around x ends within 2 tol of x
-    x = w = v = math.log(0.5 * beta_max)
-    fx = fw = fv = f(0.5 * beta_max)
+    x = w = v = math.log(start)
+    fx = fw = fv = f(start)
     d = e = 0.0  # the last step and the one before it
     while max(x - a, b - x) > 2.0 * tol:
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)  # the parabola through v, w and x
@@ -130,29 +129,49 @@ def _log_golden_min(f, beta_max: float, rtol: float) -> float:
     return math.exp(x)
 
 
+def _multiplier_bracket(m0: np.ndarray, pgp: np.ndarray, P: np.ndarray):
+    """``(lambda_max(P G P, -M0), lambda_min(-M0, P))``, each through ``-M0 = C C^T`` as the
+    top eigenvalue of a congruence by C^-1; the empty ``(inf, 0)`` where that Cholesky fails."""
+    try:
+        c_inv = np.linalg.inv(np.linalg.cholesky(-m0))
+    except np.linalg.LinAlgError:
+        return math.inf, 0.0
+    return (float(np.linalg.eigvalsh(c_inv @ pgp @ c_inv.T)[-1]),
+            1.0 / float(np.linalg.eigvalsh(c_inv @ P @ c_inv.T)[-1]))
+
+
 def find_beta(plant: PlantModel, lp: LaplacianPair, k, P) -> float | None:
     """Search for a multiplier beta > 0 certifying invariance of a given P.
 
     Minimizes the largest eigenvalue of the Schur complement ``M0 + beta P + (1/beta) P G P``,
     ``G = (1_N (x) E) Q^{-1} (1_N (x) E)^T``, convex in beta, so the feasible set is an
-    interval. A feasible beta makes ``P (A_cl + beta/2) + (.)^T <= 0`` with P > 0, so it lies
-    in ``(0, beta_max]``, ``beta_max = -2 abscissa(A_cl)``. The search is ``minimize_trace``'s,
-    to relative width 1e-9; a P whose feasible multipliers all lie below its bracket's
-    ``1e-6 beta_max`` is reported as having none. Returns a feasible beta, or None when no
-    multiplier is found (at once when A_cl is not Hurwitz); P must pass ``check_pd`` at order nN.
+    interval. A feasible beta has ``-M0 >= beta P + P G P / beta``, so it lies in ``[lo, hi] =
+    [lambda_max(P G P, -M0), lambda_min(-M0, P)]`` (GEVPs, Boyd et al., 1994), empty unless
+    -M0 > 0; Brent's search runs there to relative width 1e-9, with no floor. A member of the
+    equality family at beta0 (P*, up to its widening) has ``-M0 - beta0 P = P G P / beta0``,
+    singular when nN > p, so hi = beta0: where the objective at hi is no higher than one
+    search width below it, convexity puts the minimizer within that width of hi, taken with
+    no search. Where no disturbance reaches the errors (P G P = 0, lo = 0) every beta in (0, hi)
+    works and hi/2 is taken. Returns a feasible beta, or None when the bracket is empty or the
+    certificate fails at the beta found; P must pass ``check_pd`` at order nN.
     """
     P = matkit.check_pd(P, lp.L_tilde.shape[0] * plant.n, "P")[0]
-    abscissa = modal_form(plant, lp, k).spectrum.spectral_abscissa
-    if abscissa >= 0.0:
-        return None
     m0, h = _block_terms(plant, lp, k, P)
     pgp = h @ np.linalg.solve(plant.Q, h.T)
     pgp = 0.5 * (pgp + pgp.T)
+    lo, hi = _multiplier_bracket(m0, pgp, P)
+    if lo > hi:
+        return None
 
     def schur_max_eig(beta: float) -> float:
         return float(np.linalg.eigvalsh(m0 + beta * P + pgp / beta)[-1])
 
-    beta = _log_golden_min(schur_max_eig, -2.0 * abscissa, 1e-9)
+    if lo <= 0.0:
+        beta = 0.5 * hi
+    elif schur_max_eig(hi / (1.0 + 1e-9)) >= schur_max_eig(hi):  # e^(-2 tol) of the search
+        beta = hi
+    else:
+        beta = _log_golden_min(schur_max_eig, lo, hi, 1e-9, math.sqrt(lo) * math.sqrt(hi))
     return beta if _certificate(_block(m0, h, P, beta, plant.Q), beta).feasible else None
 
 
@@ -211,7 +230,8 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     """Minimize ``tr(X)`` (sum of squared semiaxes of the ellipsoid of
     ``P = X^{-1}``) over the one-parameter equality family.
 
-    Brent's method in log beta finds beta* to relative accuracy 1e-8; an evaluation solves
+    Brent's method in log beta finds beta* to relative accuracy 1e-8 on ``[1e-6, 1 - 1e-6]
+    * beta_max`` from ``beta_max / 2``, the scalar family's minimizer; an evaluation solves
     only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``, O(N n^6), each checked, by
     one batched LU of ``kron_sum(A_i, A_i) + beta I`` built once; X* is assembled at beta*.
     """
@@ -219,7 +239,7 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     op = matkit.kron_sum(modal.blocks, modal.blocks)
     beta_star = _log_golden_min(
         lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta, op))),
-        beta_max, 1e-8)
+        1e-6 * beta_max, (1.0 - 1e-6) * beta_max, 1e-8, 0.5 * beta_max)
     y = _family_at(modal, w, beta_star, op)
     x_star = _stacked(modal.U, y)
     # P is inverted before the rotation, where unreachable modes stay

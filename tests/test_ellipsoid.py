@@ -141,18 +141,26 @@ def test_halved_p_remains_feasible(scalar_plant, scalar_laplacian, scalar_gain):
     assert beta is not None
     # feasible multipliers form the interval [1 - sqrt(1/2), 1 + sqrt(1/2)]
     assert 1.0 - np.sqrt(0.5) - 1e-6 <= beta <= 1.0 + np.sqrt(0.5) + 1e-6
+    # inside the bracket's scalar closed form [p g / (2a), 2a], here a = g = 1, p = 1/2
+    lo, hi = multiplier_bracket(scalar_plant, scalar_laplacian, scalar_gain, np.array([[0.5]]))
+    assert (lo, hi) == (pytest.approx(0.25, rel=1e-15), pytest.approx(2.0, rel=1e-15))
+    assert lo < 1.0 - np.sqrt(0.5) and 1.0 + np.sqrt(0.5) < hi
 
 
-def test_unstable_zero_gain_never_feasible(paper_plant, fig1_laplacian):
+def test_unstable_zero_gain_never_feasible(monkeypatch, paper_plant, fig1_laplacian):
     rng = np.random.default_rng(4)
     zero_gain = np.zeros((1, 2))
+    eigs = counted_calls(monkeypatch, np.linalg, "eigvalsh")
     for _ in range(10):
         g = rng.normal(size=(6, 6))
         p = g @ g.T + 0.1 * np.eye(6)
         for beta in (0.01, 0.1, 1.0, 10.0):
             cert = check_invariant(paper_plant, fig1_laplacian, zero_gain, p, beta)
             assert not cert.feasible
+        # -M0 fails its Cholesky, so the bracket is empty and nothing is searched
+        before = len(eigs)
         assert find_beta(paper_plant, fig1_laplacian, zero_gain, p) is None
+        assert len(eigs) == before
 
 
 NOT_PD = (np.zeros((6, 6)), -np.eye(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
@@ -231,23 +239,30 @@ def test_find_beta_no_disturbance_channel():
     p = lyap_solve(np.array([[-1.0]]), np.eye(1))  # Lyapunov certificate, P = 0.5
     beta = find_beta(plant, lp, np.array([[0.0]]), p)
     assert beta is not None
+    # P G P = 0 puts the bracket's low end at 0 exactly: every beta in (0, 2a) works, and
+    # find_beta takes the middle one, with no floor
+    assert multiplier_bracket(plant, lp, np.array([[0.0]]), p) == (0.0, pytest.approx(2.0))
+    assert beta == pytest.approx(1.0, rel=1e-15)
+
+
+#: The published ellipsoid matrix for the paper system, symmetrized.
+P_REF = 1e3 * np.array([
+    [1.9963, 0.0008, -1.2544, -0.0003, -0.6919, -0.0018],
+    [0.0008, 0.0188, -0.0005, -0.0135, 0.0014, -0.0037],
+    [-1.2544, -0.0005, 1.9291, -0.0000, -0.6245, -0.0027],
+    [-0.0003, -0.0135, -0.0000, 0.0186, 0.0030, -0.0030],
+    [-0.6919, 0.0014, -0.6245, 0.0030, 1.2549, 0.0049],
+    [-0.0018, -0.0037, -0.0027, -0.0030, 0.0049, 0.0080],
+])
+P_REF = 0.5 * (P_REF + P_REF.T)
 
 
 def test_find_beta_on_reference_ellipsoid(paper_plant, fig1_laplacian, paper_gain):
     # published ellipsoid matrix for this system; find_beta must certify it
-    p_ref = 1e3 * np.array([
-        [1.9963, 0.0008, -1.2544, -0.0003, -0.6919, -0.0018],
-        [0.0008, 0.0188, -0.0005, -0.0135, 0.0014, -0.0037],
-        [-1.2544, -0.0005, 1.9291, -0.0000, -0.6245, -0.0027],
-        [-0.0003, -0.0135, -0.0000, 0.0186, 0.0030, -0.0030],
-        [-0.6919, 0.0014, -0.6245, 0.0030, 1.2549, 0.0049],
-        [-0.0018, -0.0037, -0.0027, -0.0030, 0.0049, 0.0080],
-    ])
-    p_ref = 0.5 * (p_ref + p_ref.T)
-    assert is_pd(p_ref)
-    beta = find_beta(paper_plant, fig1_laplacian, paper_gain, p_ref)
+    assert is_pd(P_REF)
+    beta = find_beta(paper_plant, fig1_laplacian, paper_gain, P_REF)
     assert beta is not None
-    cert = check_invariant(paper_plant, fig1_laplacian, paper_gain, p_ref, beta)
+    cert = check_invariant(paper_plant, fig1_laplacian, paper_gain, P_REF, beta)
     assert cert.feasible
 
 
@@ -263,6 +278,50 @@ def test_find_beta_near_lower_end_of_bracket(paper_plant, fig1_laplacian, paper_
         assert beta is not None
         assert beta / beta0 == pytest.approx(1.0, abs=0.05)
         assert check_invariant(paper_plant, fig1_laplacian, paper_gain, p, beta).feasible
+    # the bracket comes from P with no floor: at 1e-10 beta_max the rounding of P = X^-1
+    # (cond 1e10) hides beta0, but the search reaches far below 1e-6 beta_max, where the
+    # former fixed bracket ended, and certifies P there
+    p = np.linalg.inv(family_solution(paper_plant, fig1_laplacian, paper_gain, 1e-10 * beta_max))
+    p = 0.5 * (p + p.T)
+    beta = find_beta(paper_plant, fig1_laplacian, paper_gain, p)
+    assert beta < 1e-7 * beta_max
+    assert check_invariant(paper_plant, fig1_laplacian, paper_gain, p, beta).feasible
+
+
+def multiplier_bracket(plant, lp, k, p):
+    """``ellipsoid._multiplier_bracket`` on the operands that ``find_beta`` builds for p."""
+    m0, h = ellipsoid._block_terms(plant, lp, k, p)
+    pgp = h @ np.linalg.solve(plant.Q, h.T)
+    return ellipsoid._multiplier_bracket(m0, 0.5 * (pgp + pgp.T), p)
+
+
+@pytest.mark.parametrize("case", ["paper P*", "p_ref", "seeded N=3 P*", "seeded N=10 P*"])
+def test_multiplier_bracket_matches_scipy(case, paper_plant, fig1_laplacian, paper_gain,
+                                          paper_minimization):
+    # lo = lambda_max(P G P, -M0) and hi = lambda_min(-M0, P) against SciPy's definite
+    # generalized eigensolver on the same M0 and P G P
+    plant, lp, k = paper_plant, fig1_laplacian, paper_gain
+    if case == "paper P*":
+        p = paper_minimization.P_star
+    elif case == "p_ref":
+        p = P_REF
+    else:
+        followers = 3 if case == "seeded N=3 P*" else 10
+        lp = build_laplacian(Topology(adjacency=seeded_adjacency(followers, 7)))
+        p = minimize_trace(plant, lp, k).P_star
+    m0, h = ellipsoid._block_terms(plant, lp, k, p)
+    pgp = h @ np.linalg.solve(plant.Q, h.T)
+    lo, hi = multiplier_bracket(plant, lp, k, p)
+    assert lo == pytest.approx(scipy.linalg.eigh(pgp, -m0, eigvals_only=True)[-1], rel=1e-9)
+    # hi is the smallest eigenvalue of its pencil: the rounding of M0 = P A_cl + A_cl^T P,
+    # eps ||P|| ||A_cl|| in norm, moves it by up to that over lambda_min(P), 1e-5 relative
+    # on the N=10 P* (cond 1e11) and 5e-9 on p_ref
+    a_cl = closed_loop(plant, lp, k)
+    floor = (np.finfo(float).eps * np.linalg.norm(p, 2) * np.linalg.norm(a_cl, 2)
+             / np.linalg.eigvalsh(p)[0])
+    assert abs(hi - scipy.linalg.eigh(-m0, p, eigvals_only=True)[0]) <= 1e-9 * hi + floor
+    beta = find_beta(plant, lp, k, p)
+    assert lo <= beta <= hi
 
 
 # --- family solution ----------------------------------------------------
@@ -345,23 +404,36 @@ def test_trace_convex_along_family(paper_plant, fig1_laplacian, paper_gain,
         assert second_diff.min() >= -1e-8 * max(1.0, np.abs(values).max())
 
 
+def golden_budget(lo, hi, rtol):
+    """Evaluations plain golden-section search in log beta needs to shrink [lo, hi] to rtol."""
+    return int(np.ceil(np.log(np.log(hi / lo) / rtol) / np.log((1.0 + np.sqrt(5.0)) / 2.0))) + 2
+
+
 def test_log_golden_min_convex_objectives():
     # the search needs no pre-scan on a convex objective: it finds the minimizer
     # anywhere in [1e-6, 1 - 1e-6] * beta_max to relative accuracy rtol, on a smooth
     # objective and on an asymmetric kink in log beta like find_beta's lambda_max,
-    # within the evaluations that plain golden-section search needs to reach rtol
-    beta_max, golden_ratio = 2.5, (1.0 + np.sqrt(5.0)) / 2.0
-    width = np.log((1 - 1e-6) / 1e-6)
+    # within the evaluations that plain golden-section search needs to reach rtol.
+    # On find_beta's brackets, a wide one and one as narrow as a P*'s, started at the
+    # log midpoint, it finds the minimizer over the bracket, inside it, at either end or
+    # beyond one, within the golden-section budget of that bracket
+    beta_max = 2.5
     objectives = {
         "smooth": lambda beta, beta0: ((np.log(beta) - np.log(beta0)) ** 2
                                        + ((beta - beta0) / beta_max) ** 2),
         "kinked": lambda beta, beta0: max(3.0 * (np.log(beta0) - np.log(beta)),
                                           0.2 * (np.log(beta) - np.log(beta0))),
     }
+    full = (1e-6 * beta_max, (1 - 1e-6) * beta_max, 0.5 * beta_max)
+    runs = [(full, frac * beta_max) for frac in (3e-6, 1e-3, 0.3, 0.9, 1 - 3e-6)]
+    for lo, hi in ((0.2 * beta_max, 0.7 * beta_max), (0.99 * beta_max, 0.995 * beta_max)):
+        mid = np.sqrt(lo * hi)
+        runs += [((lo, hi, mid), beta0) for beta0 in (0.5 * lo, lo, 0.7 * lo + 0.3 * hi, hi,
+                                                      2.0 * hi)]
     for rtol, budget in ((1e-8, 46), (1e-9, 51)):
-        assert budget == int(np.ceil(np.log(width / rtol) / np.log(golden_ratio))) + 2
-        for frac in (3e-6, 1e-3, 0.3, 0.9, 1 - 3e-6):
-            beta0 = frac * beta_max
+        assert budget == golden_budget(*full[:2], rtol)
+        for (lo, hi, start), beta0 in runs:
+            best = min(max(beta0, lo), hi)
             for name, objective in objectives.items():
                 calls = []
 
@@ -369,9 +441,9 @@ def test_log_golden_min_convex_objectives():
                     calls.append(beta)
                     return objective(beta, beta0)
 
-                beta = _log_golden_min(f, beta_max, rtol)
-                assert abs(beta / beta0 - 1.0) <= rtol, (name, rtol, frac)
-                assert len(calls) <= budget, (name, rtol, frac)
+                beta = _log_golden_min(f, lo, hi, rtol, start)
+                assert abs(beta / best - 1.0) <= rtol, (name, rtol, lo, hi, beta0)
+                assert len(calls) <= golden_budget(lo, hi, rtol), (name, rtol, lo, hi, beta0)
 
 
 @pytest.mark.parametrize("followers", [3, 10, 20])
@@ -410,14 +482,14 @@ def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, 
     search = ellipsoid._log_golden_min
     evaluations = []
 
-    def counted_search(f, beta_max, rtol):
+    def counted_search(f, *bracket_rtol_start):
         def counted(beta):
             before = len(checks)
             value = f(beta)
             evaluations.append((beta, checks[before:]))
             return value
 
-        return search(counted, beta_max, rtol)
+        return search(counted, *bracket_rtol_start)
 
     monkeypatch.setattr(ellipsoid, "_log_golden_min", counted_search)
     minimize_trace(plant, lp, k)
@@ -441,10 +513,25 @@ def counted_calls(monkeypatch, module, name) -> list:
 
 def test_find_beta_builds_the_closed_loop_once(monkeypatch, paper_plant, fig1_laplacian,
                                                paper_gain, paper_minimization):
-    # the closing certificate reuses the M0 and H that the search was built from
-    calls = counted_calls(monkeypatch, ellipsoid, "closed_loop")
-    assert find_beta(paper_plant, fig1_laplacian, paper_gain, paper_minimization.P_star)
-    assert len(calls) == 1
+    # the closing certificate reuses the M0 and H that the search was built from, and the
+    # bracket comes from P with no modal form: two eigvalsh for it, two for the objective
+    # at its top and one for the certificate. On the seeded N=10 P* the objective falls by
+    # 0.7 over the last search width to hi, far above its rounding, so hi is taken with no
+    # search; on the paper P* it moves by 0.05 there, its rounding at a block norm of 5e12,
+    # so the search may run, within the golden-section budget of its own bracket
+    seeded = build_laplacian(Topology(adjacency=seeded_adjacency(10, 7)))
+    for lp, p in ((fig1_laplacian, paper_minimization.P_star),
+                  (seeded, minimize_trace(paper_plant, seeded, paper_gain).P_star)):
+        budget = golden_budget(*multiplier_bracket(paper_plant, lp, paper_gain, p), 1e-9)
+        calls = counted_calls(monkeypatch, ellipsoid, "closed_loop")
+        modal = counted_calls(monkeypatch, ellipsoid, "modal_form")
+        factors = counted_calls(monkeypatch, np.linalg, "cholesky")
+        eigs = counted_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert find_beta(paper_plant, lp, paper_gain, p)
+        assert len(calls) == 1 and not modal
+        assert len(factors) == 2  # P's own in check_pd, then the one of -M0
+        assert len(eigs) <= (5 if lp is seeded else 5 + budget)
+        monkeypatch.undo()
 
 
 def test_widening_reuses_the_trace_search_operator(monkeypatch, paper_plant, fig1_laplacian,
