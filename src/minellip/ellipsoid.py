@@ -262,7 +262,10 @@ def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
     cannot loosen it. P must pass :func:`~minellip.matkit.check_pd`, which yields C."""
     if not eta > 0.0:  # NaN fails it too; inf means no input bound
         raise ValueError("eta must be positive")
-    r = np.kron(lp.L_tilde, matkit.as_matrix(k, "K"))
+    k, n = matkit.as_matrix(k, "K"), len(np.atleast_1d(P)) / len(lp.L_tilde)
+    if n.is_integer() and k.shape[1] != n:  # else P's order is wrong, and check_pd says so
+        raise DimensionMismatchError(f"K must have {n:.0f} columns to match P, got {k.shape}")
+    r = np.kron(lp.L_tilde, k)
     z = np.linalg.solve(matkit.check_pd(P, r.shape[1], "P")[1], r.T)
     return bool(np.linalg.eigvalsh(z.T @ z)[-1] <= eta**2 * (1.0 + 1e-7))
 

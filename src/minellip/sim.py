@@ -3,9 +3,9 @@
 The leader ``sigma0' = A sigma0 + B u0`` and the follower-minus-leader error
 ``e' = A_cl e + (1_N (x) E) omega``, the error system the ellipsoid
 certificates are stated for, are integrated separately with classical RK4;
-follower states are ``e + 1_N (x) sigma0``. With the forcing held at each
-stage, one RK4 step of ``s' = M s + D w`` is exactly the affine map
-``s+ = Phi s + G_a w_a + G_b w_b + G_c w_c``, ``Phi = p(hM)`` the RK4
+follower states ``e + 1_N (x) sigma0`` are formed on read. With the forcing
+held at each stage, one RK4 step of ``s' = M s + D w`` is exactly the affine
+map ``s+ = Phi s + G_a w_a + G_b w_b + G_c w_c``, ``Phi = p(hM)`` the RK4
 stability polynomial (Hairer, Norsett & Wanner, *Solving ODEs I*), built once
 per run. Each kind of source has one stepping path. ``none`` and ``sinusoid``
 disturbances do not read the error and are sampled at every stage time in one
@@ -114,11 +114,16 @@ class Trajectory:
 
     times: np.ndarray
     leader_states: np.ndarray
-    follower_states: np.ndarray
     errors: np.ndarray
     controls: np.ndarray
     disturbances: np.ndarray
     V: np.ndarray | None = None
+
+    @property
+    def follower_states(self) -> np.ndarray:
+        """``e + 1_N (x) sigma0``, one row per time, formed on each read rather than stored."""
+        t, n = self.leader_states.shape
+        return (self.errors.reshape(t, -1, n) + self.leader_states[:, None]).reshape(t, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +169,8 @@ def simulate(
         When given, it must pass :func:`~minellip.matkit.check_pd`, unless it equals the P
         that ``dist.law`` checked, and ``V = e^T P e`` is recorded alongside the trajectory.
 
-    Raises ``UnstableStepError`` when the error closed loop is Hurwitz but
-    ``dt`` lies outside its RK4 stability region.
+    Raises ``UnstableStepError`` when the RK4 step map Phi has spectral radius >= 1 (inf if it
+    overflows) on a Hurwitz error closed loop; the abscissa is computed only in that case.
     """
     if not dt > 0.0:  # positive tests, so that NaN fails them
         raise ValueError("dt must be positive")
@@ -193,20 +198,16 @@ def simulate(
     if P is not None:  # a P equal to the one the law checked is not checked again
         P = law.P if law is not None and np.array_equal(P, law.P) else check_pd(P, nn, "P")[0]
     lp = build_laplacian(topology)
-    # rho(Phi) = max |p(dt lambda)| over the eigenvalues of the modal blocks of
-    # A_cl, with p(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (see _rk4_step_map)
-    spec = modal_form(plant, lp, k).spectrum
-    z = dt * spec.eigenvalues
-    rho = float(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))).max())
-    if spec.spectral_abscissa < 0.0 and rho >= 1.0:
-        raise UnstableStepError(f"dt={dt:g} is outside the RK4 stability region of the Hurwitz "
-                                f"error closed loop: step map spectral radius {rho:.6g} >= 1")
     n_steps = int(np.floor(t_final / dt + 1e-9))
     open_loop = dist.kind in ("none", "sinusoid")
     if open_loop:  # all samples, at t_0, t_0 + dt/2, t_1, ..., t_T, checked before any step
         stage_times = np.arange(2 * n_steps + 1) * (0.5 * dt)
         w = _admissible(dist.sampler(stage_times, None), stage_times, plant.Q)
     phi, g = _rk4_step_map(closed_loop(plant, lp, k), disturbance_channel(plant, n_followers), dt)
+    rho = float(np.abs(np.linalg.eigvals(phi)).max()) if np.isfinite(phi).all() else np.inf
+    if rho >= 1.0 and modal_form(plant, lp, k).spectrum.spectral_abscissa < 0.0:
+        raise UnstableStepError(f"dt={dt:g} is outside the RK4 stability region of the Hurwitz "
+                                f"error closed loop: step map spectral radius {rho:.6g} >= 1")
     # the leader is autonomous in y = [sigma0; 1], y' = [[A, B u0], [0, 0]] y; the
     # rows m .. 2m-1 of its orbit are the rows 0 .. m-1 mapped by Psi^m
     leader_system = np.block([[plant.A, (plant.B @ u0)[:, None]], [np.zeros((1, n + 1))]])
@@ -235,7 +236,8 @@ def simulate(
                     z[:] = u
                 if not z.dot(z) <= 1.0 + BOUND_SLACK:
                     raise DisturbanceBoundViolatedError(
-                        f"disturbance sample at t={t:.6g} violates the Q bound")
+                        f"disturbance sample at t={t:.6g} violates the Q bound"
+                        + ("" if np.isfinite(e).all() else "; the error state is not finite"))
                 step.dot(y, out=row_next)
         errors = rows[:-1, :nn]  # a view: the rows hold the errors once
         samples = rows[1:, nn:] @ law.unwhiten.T
@@ -247,7 +249,8 @@ def simulate(
             out.flat = w
             if not out.dot(plant.Q.dot(out)) <= 1.0 + BOUND_SLACK:
                 raise DisturbanceBoundViolatedError(
-                    f"disturbance sample at t={t:.6g} violates the Q bound")
+                    f"disturbance sample at t={t:.6g} violates the Q bound"
+                    + ("" if np.isfinite(e).all() else "; the error state is not finite"))
 
         offsets = np.array([0.0, 0.5 * dt, dt])
         errors = np.empty((n_steps + 1, nn))
@@ -270,7 +273,6 @@ def simulate(
     return Trajectory(
         times=times,
         leader_states=leader[:, :n],
-        follower_states=errors + np.tile(leader[:, :n], (1, n_followers)),
         errors=errors,
         controls=controls + np.tile(u0, n_followers),
         disturbances=samples,

@@ -25,6 +25,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def cli_env():
+    """A CLI subprocess's environment: this source tree first on its path, one BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def bundled_yaml(name):
     return yaml.safe_load(scenario.bundled_path(name).read_text())
 
@@ -53,6 +60,24 @@ def test_verify_zero_gain_fails_hurwitz(tmp_path, outdir):
     code = run("verify", "--config", path, "--out", outdir)
     assert code == 1
     assert "Hurwitz: no" in (outdir / "paper_example1_verify.txt").read_text()
+
+
+@pytest.mark.parametrize("name, code", [("paper_example1", 0), ("paper_example3", 1)])
+def test_simulate_zero_gain_has_no_ellipsoid(name, code, tmp_path, outdir, capsys):
+    # K = 0 is not Hurwitz, so there is no P*: a sinusoid run records no V and reports no
+    # entry time, and a worst-case run, whose law needs P*, is refused
+    data = bundled_yaml(name)
+    data["gain"] = {"K": [[0.0, 0.0]]}
+    path = tmp_path / "zero_gain.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run("simulate", "--config", path, "--out", outdir, "--t-final", "1") == code
+    captured = capsys.readouterr()
+    if code:
+        assert "closed loop has spectral abscissa" in captured.err
+        return
+    header = (outdir / f"{name}_trajectory.csv").read_text().split("\n", 1)[0].split(",")
+    assert header[-1] == "omega_2" and "V" not in header
+    assert "ellipsoid entry time" not in captured.out
 
 
 def test_malformed_matrix_exits_2(tmp_path, outdir):
@@ -237,6 +262,29 @@ def test_report_collects_outputs(outdir):
     assert "scalar_demo_minimize.yaml" in summary
 
 
+def test_report_skips_yaml_that_is_not_a_mapping(outdir, capsys):
+    outdir.mkdir()
+    (outdir / "list.yaml").write_text("- 1\n- 2\n")
+    assert run("report", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir) == 0
+    assert capsys.readouterr().out.endswith("(no prior outputs found)\n")
+
+
+def test_commands_run_without_test_only_packages(tmp_path):
+    # the runtime is NumPy and PyYAML only: the packages that only the tests use are blocked
+    blocked = ("import sys\n"
+               "for name in ('scipy', 'hypothesis', 'mpmath', 'sympy'):\n"
+               "    sys.modules[name] = None\n"
+               "from minellip.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    config = str(scenario.bundled_path("paper_example1"))
+    for argv in (["verify"], ["simulate", "--t-final", "0.05"]):
+        proc = subprocess.run([sys.executable, "-c", blocked, *argv, "--config", config,
+                               "--out", str(tmp_path)],
+                              env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "paper_example1_trajectory.csv").exists()
+
+
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("MINELLIP_OUT", str(target))
@@ -380,13 +428,10 @@ def test_horizon_too_long_to_hold_exits_2(t_final, tmp_path):
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, hard))
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "minellip.cli", "simulate", "--out", str(tmp_path),
          "--config", str(scenario.bundled_path("paper_example1")), "--t-final", t_final],
-        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
+        env=cli_env(), preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: Unable to allocate")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -697,6 +697,14 @@ def test_input_bound_refuses_below_peak_input(fig1_laplacian, paper_gain, paper_
             check_input_bound(fig1_laplacian, paper_gain, not_pd, 2.0 * peak)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_input_bound_names_a_gain_of_the_wrong_width(width, fig1_laplacian, paper_minimization):
+    # the paper P* is 6x6 over N = 3 followers, so K needs n = 2 columns: a K of another width
+    # is the fault, not P
+    with pytest.raises(DimensionMismatchError, match=r"K must have 2 columns"):
+        check_input_bound(fig1_laplacian, np.ones((1, width)), paper_minimization.P_star, 5e4)
+
+
 def test_schur_and_direct_input_tests_agree(scalar_laplacian, fig1_laplacian):
     rng = np.random.default_rng(31)
     count = 0

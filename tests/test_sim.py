@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from minellip.errors import (
     MissingEllipsoidError,
     UnstableStepError,
 )
+from minellip import sim
 from minellip.protocol import closed_loop, disturbance_channel
-from minellip.sim import _affine_orbit, _rk4_step_map
+from minellip.sim import Trajectory, _affine_orbit, _rk4_step_map
 
 PAPER_AMPS = [0.02, 0.0125]
 PAPER_FREQ = 0.5
@@ -148,6 +151,24 @@ def test_custom_sample_refused_before_any_later_draw(bad, onset, paper_plant, fi
     assert max(called) == pytest.approx(onset, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["worst_case", "custom"])
+def test_diverging_run_names_the_non_finite_error(kind, paper_plant, fig1_topology, paper_gain,
+                                                  paper_x0, paper_minimization):
+    # -K makes the error loop unstable; once e overflows, the law's sample is NaN and fails
+    # the bound, and the refusal says that the error state, not the source, went wrong. The
+    # overflow and the NaN warn on the way, which is not under test here
+    p = paper_minimization.P_star
+    worst = make_disturbance("worst_case", paper_plant, P=p)
+    law = worst.law
+    dist = worst if kind == "worst_case" else make_disturbance(
+        "custom", paper_plant, sample=lambda t, e: law.unwhiten @ law.unit(e, np.eye(2)[0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DisturbanceBoundViolatedError,
+            match=r"t=7\.957 violates the Q bound; the error state is not finite"):
+        simulate(paper_plant, fig1_topology, -paper_gain, [0.0], paper_x0, dist, 100.0, 1e-3,
+                 P=p)
+
+
 def test_sample_of_wrong_length_is_refused(paper_plant, fig1_topology, paper_gain, paper_x0):
     # p = 2: a length-1 sample must not broadcast, a length-3 one must not be cut
     for bad in (np.array([0.01]), np.full(3, 0.01)):
@@ -272,16 +293,32 @@ def test_rejects_bad_dimensions(paper_plant, fig1_topology, paper_gain, paper_x0
                  P=np.eye(5))
 
 
-def test_unstable_rk4_step_is_refused(paper_plant, fig1_topology, paper_gain, paper_x0):
+def test_unstable_rk4_step_is_refused(monkeypatch, paper_plant, fig1_topology, paper_gain,
+                                     paper_x0):
+    # each run builds the closed loop once, and its abscissa only when rho(Phi) >= 1:
+    # never for the paper gain (rho < 1), once for 10 K and once for K = 0
+    from test_ellipsoid import counted_calls
+
+    loops = counted_calls(monkeypatch, sim, "closed_loop")
+    modal = counted_calls(monkeypatch, sim, "modal_form")
+    dist = make_disturbance("none", paper_plant)
+    simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
+    assert len(loops) == 1 and not modal
     # 10 K keeps the error loop Hurwitz (abscissa -1.82), but at dt = 0.01 its
     # fast modes leave the RK4 stability region: rho(Phi) = 161
-    dist = make_disturbance("none", paper_plant)
     with pytest.raises(UnstableStepError, match=r"dt=0\.01 .* 161\.4"):
         simulate(paper_plant, fig1_topology, 10 * paper_gain, [0.0], paper_x0, dist, 1.0, 1e-2)
-    # a loop that is not Hurwitz has no decay to protect and still simulates
+    assert len(loops) == 2 and len(modal) == 1
+    # a loop that is not Hurwitz has no decay to protect and still simulates: K = 0 leaves
+    # I_N (x) A, whose Phi is unit upper triangular, so rho(Phi) = 1 exactly
     traj = simulate(paper_plant, fig1_topology, np.zeros((1, 2)), [0.0], paper_x0, dist,
                     1.0, 1e-2)
     assert np.all(np.isfinite(traj.errors))
+    assert len(loops) == 3 and len(modal) == 2
+    # a step so long that Phi overflows has no finite spectral radius, and is refused alike
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(UnstableStepError,
+                                                                     match="radius inf >= 1"):
+        simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1e80, 1e80)
 
 
 def test_controls_match_stacked_protocol(paper_plant, fig1_topology, paper_gain, paper_x0):
@@ -372,6 +409,8 @@ def test_affine_step_matches_stage_loop(followers, paper_plant, fig1_topology, p
                                                  2.0, 1e-3)
         for got, want in ((traj.errors, errors), (traj.leader_states, leader)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), dist.kind
+        np.testing.assert_array_equal(
+            traj.follower_states, traj.errors + np.tile(traj.leader_states, (1, followers)))
         if dist.kind in ("none", "sinusoid"):
             np.testing.assert_array_equal(traj.disturbances, samples)
         else:  # these read the error, which agrees to rounding
@@ -409,8 +448,10 @@ def test_errors_do_not_depend_on_leader_offset(paper_plant, fig1_topology, paper
     at_origin, offset = runs
     np.testing.assert_allclose(offset.errors, at_origin.errors, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(offset.V, at_origin.V, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(offset.follower_states - np.tile(offset.leader_states, 3),
-                               offset.errors, atol=1e-9)
+    # follower states are formed from e and sigma0 on each read, never stored
+    assert "follower_states" not in {f.name for f in dataclasses.fields(Trajectory)}
+    np.testing.assert_array_equal(offset.follower_states,
+                                  offset.errors + np.tile(offset.leader_states, (1, 3)))
 
 
 @pytest.mark.parametrize("followers, gain, steps",
