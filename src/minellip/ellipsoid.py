@@ -29,7 +29,6 @@ from .graph import LaplacianPair
 from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 1 - 1/phi
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -275,24 +274,19 @@ class WorstCaseLaw:
     """:func:`worst_case_law` whitened by ``Q = L L^T``: ``omega* = unwhiten u`` with
     ``unwhiten = L^-T`` and ``u = z / ||z||`` for the readout ``z = Z e``, ``Z = L^-1 (1_N (x)
     E)^T P`` over its max-abs entry (omega* has degree 0 in P and in e), so ``omega*^T Q omega*
-    = u^T u``. P is the checked P."""
+    = u^T u``. P is the checked P; ``unit`` is the scaled form, which the fused simulation
+    step calls only off its own fast path ``Z e / ||Z e||``."""
 
     Z: np.ndarray
     unwhiten: np.ndarray
     floor: float
     P: np.ndarray
 
-    def unit(self, e: np.ndarray, held=None, z=None) -> np.ndarray | None:
-        """u at e, or ``held`` where ``||z|| <= floor ||e||`` (e = 0 too). A given ``z = Z e``
-        is normalized in place while ``z^T z`` is a normal double above that floor; else z is
-        formed from e over its max-abs entry, which no scale of e or P over- or underflows. A
-        NaN in e gives a NaN u."""
-        if z is not None:
-            zz = z.dot(z)
-            if _TINY <= zz < math.inf and zz > self.floor**2 * e.dot(e):
-                z /= math.sqrt(zz)
-                return z
-        elif e.shape != self.P.shape[:1]:
+    def unit(self, e: np.ndarray, held=None) -> np.ndarray | None:
+        """u at e, or ``held`` where ``||z|| <= floor ||e||`` (e = 0 too). z is formed from e
+        over its max-abs entry, which no scale of e or P over- or underflows. A NaN in e gives
+        a NaN u."""
+        if e.shape != self.P.shape[:1]:
             raise DimensionMismatchError(f"error shape {e.shape} does not match P {self.P.shape}")
         e = e / (np.abs(e).max() or 1.0)
         z = self.Z.dot(e)

@@ -14,10 +14,11 @@ call per run, so their T steps ``e+ = Phi e + f`` are solved in chunks of
 (state-feedback) disturbance is drawn by its law once per step from the
 current error, held across its stages (a piecewise-constant realization that
 keeps the integrated vector field smooth within each step) and fused into the
-step: ``y = [Phi; Z] e`` gives ``Phi e`` and the whitened readout z of the
-law, z becomes the sample u in place, and ``[I, G L^-T] y`` is the next error.
-Custom samplers are drawn at each stage. Each of their samples is checked
-against the Q bound once, online, before it is used.
+step, one product per step on rows ``[e, z]``: the law's whitened readout
+``z = Z e`` becomes the sample u in place, and ``S = [[Phi, G L^-T], [Z Phi,
+Z G L^-T]]`` maps ``[e, u]`` to the next ``[e, z]``. Custom samplers are drawn
+at each stage. Their samples, and worst-case ones off the fast path z / ||z||,
+are checked against the Q bound once, online, before use.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .protocol import PlantModel, check_gain, closed_loop, disturbance_channel, 
 
 #: Slack accepted when validating disturbance samples against the Q bound.
 BOUND_SLACK = 1e-9
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,16 @@ def simulate(
     dist : DisturbanceSpec
         Shared follower disturbance: ``none``/``sinusoid`` sampled once per run and stepped in
         chunks, ``worst_case`` by its ``law`` once per step (``MissingEllipsoidError`` without
-        one), others per stage. Every sample must satisfy ``omega^T Q omega <= 1``; a
-        ``worst_case``/``custom`` one is checked once, online, before the step that uses it. A
-        law's P must have order nN.
+        one), others per stage. Every sample must satisfy ``omega^T Q omega <= 1``; a ``custom``
+        one, or a ``worst_case`` one off the fast path ``z / ||z||``, is checked once, online,
+        before the step that uses it. A law's P must have order nN.
     P : optional (nN, nN) array
         When given, it must pass :func:`~minellip.matkit.check_pd`, unless it equals the P
         that ``dist.law`` checked, and ``V = e^T P e`` is recorded alongside the trajectory.
 
     Raises ``UnstableStepError`` when the RK4 step map Phi has spectral radius >= 1 (inf if it
-    overflows) on a Hurwitz error closed loop; the abscissa is computed only in that case.
+    overflows) on a Hurwitz error closed loop; the abscissa is computed only in that case. It
+    raises it too, naming the first non-finite time, when the errors end non-finite.
     """
     if not dt > 0.0:  # positive tests, so that NaN fails them
         raise ValueError("dt must be positive")
@@ -220,27 +223,29 @@ def simulate(
     e0 = (x0[1:] - x0[0]).ravel()
     if open_loop:  # w_c of a step is w_a of the next
         samples = w[0::2]
-        errors = _affine_orbit(phi, e0, np.hstack([w[:-1:2], w[1::2], w[2::2]]) @ g.T)
-    elif law is not None:  # y = [Phi; Z] e; z -> u in place; [e+; u] = [[I, G L^-T]; [0, I]] y
-        m, y = np.vstack([phi, law.Z]), np.empty(nn + p_dim)
-        z = y[nn:]
-        step = np.eye(nn + p_dim)
-        step[:nn, nn:] = g.reshape(-1, 3, p_dim).sum(axis=1) @ law.unwhiten
-        rows = np.empty((n_steps + 2, nn + p_dim))  # row k: [e_k, u_{k-1}]
-        rows[0] = np.append(e0, np.eye(p_dim)[0])  # u_{-1}: omega = e_1 / sqrt(Q_11)
-        with np.errstate(over="ignore"):  # an overflowing z^T z or e^T e takes the scaled branch
-            for t, e, held, row_next in zip(times, rows[:, :nn], rows[:, nn:], rows[1:]):
-                m.dot(e, out=y)
-                u = law.unit(e, held, z)
-                if u is not z:
-                    z[:] = u
-                if not z.dot(z) <= 1.0 + BOUND_SLACK:
-                    raise DisturbanceBoundViolatedError(
-                        f"disturbance sample at t={t:.6g} violates the Q bound"
-                        + ("" if np.isfinite(e).all() else "; the error state is not finite"))
-                step.dot(y, out=row_next)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite e is refused below
+            errors = _affine_orbit(phi, e0, np.hstack([w[:-1:2], w[1::2], w[2::2]]) @ g.T)
+    elif law is not None:  # row k: [e_k, z_k]; z_k -> u_k in place, then S [e_k; u_k] = row k+1
+        gu = g.reshape(-1, 3, p_dim).sum(axis=1) @ law.unwhiten
+        s = np.block([[phi, gu], [law.Z @ phi, law.Z @ gu]])
+        rows = np.empty((n_steps + 2, nn + p_dim))
+        held, floor2 = np.eye(p_dim)[0], law.floor**2  # u_{-1}: omega = e_1 / sqrt(Q_11)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite z: the law's branch
+            rows[0] = np.append(e0, law.Z.dot(e0))
+            for t, e, z, row, row_next in zip(times, rows[:, :nn], rows[:, nn:], rows, rows[1:]):
+                zz = z.dot(z)
+                if _TINY <= zz < math.inf and zz > floor2 * e.dot(e):
+                    z /= math.sqrt(zz)  # u^T u = 1 to rounding: the bound holds
+                else:  # held, scaled or NaN: the law's own rule, checked before use
+                    z[:] = law.unit(e, held)
+                    if not z.dot(z) <= 1.0 + BOUND_SLACK:
+                        raise DisturbanceBoundViolatedError(
+                            f"disturbance sample at t={t:.6g} violates the Q bound"
+                            + ("" if np.isfinite(e).all() else "; the error state is not finite"))
+                s.dot(row, out=row_next)
+                held = z
         errors = rows[:-1, :nn]  # a view: the rows hold the errors once
-        samples = rows[1:, nn:] @ law.unwhiten.T
+        samples = rows[:-1, nn:] @ law.unwhiten.T
     else:  # each sample is drawn into its row and checked before the step that uses it
         def draw(t, e, out):
             w = dist.sampler(t, e)
@@ -265,6 +270,10 @@ def simulate(
         draw(times[-1], errors[-1], stages[-1, 0])
         samples = np.ascontiguousarray(stages[:, 0])
 
+    if not np.isfinite(errors[-1]).all():  # Phi has no zero column: a non-finite e stays so
+        t = times[np.isfinite(errors).all(axis=1).argmin()]
+        raise UnstableStepError(f"the error state is not finite from t={t:.6g}: step map "
+                                f"spectral radius {rho:.6g}")
     ke = k @ errors.T.reshape(n_followers, n, -1)  # K e_i of each follower i, (N, m, T)
     controls = -(lp.L_tilde @ ke.reshape(n_followers, -1)).reshape(-1, len(times)).T
     v = None

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -83,7 +84,10 @@ def test_worst_case_samples_on_unit_sphere(paper_plant, fig1_topology, paper_gai
         assert w @ paper_plant.Q @ w == pytest.approx(1.0, abs=1e-9)
 
 
-def test_worst_case_falls_back_to_previous_sample(paper_plant, fig1_topology, paper_gain):
+def test_worst_case_falls_back_to_previous_sample(monkeypatch, paper_plant, fig1_topology,
+                                                  paper_gain):
+    from test_ellipsoid import counted_calls
+
     # with P = I the growth direction is Q^-1 (e_1 + e_2 + e_3) up to scale; an
     # error whose follower errors cancel has none, and the last sample is held
     spec = make_disturbance("worst_case", paper_plant, P=np.eye(6))
@@ -93,10 +97,25 @@ def test_worst_case_falls_back_to_previous_sample(paper_plant, fig1_topology, pa
     np.testing.assert_allclose(law.unwhiten @ u, [0.0, 1.0 / np.sqrt(paper_plant.Q[1, 1])],
                                atol=1e-15)
     assert law.unit(np.array([1.0, 2.0, -1.0, -2.0, 0.0, 0.0]), u) is u
-    # a fused run whose follower errors cancel at t = 0 draws e_1 / sqrt(Q_11) first
+    # a fused run whose follower errors cancel at t = 0 draws e_1 / sqrt(Q_11) first: its
+    # readout fails the fast test there, so the law is asked at t = 0, and only then
+    calls = counted_calls(monkeypatch, sim.WorstCaseLaw, "unit")
     x0 = np.array([[0.5, -0.25], [1.5, 1.75], [-0.5, -2.25], [0.5, -0.25]])
     traj = simulate(paper_plant, fig1_topology, paper_gain, [0.0], x0, spec, 0.1, 1e-2)
     np.testing.assert_array_equal(traj.disturbances[0], [1.0 / np.sqrt(paper_plant.Q[0, 0]), 0.0])
+    assert len(calls) == 1 and np.array_equal(calls[0][1], traj.errors[0])
+
+
+def test_fused_step_leaves_the_law_off_its_fast_path(monkeypatch, paper_plant, fig1_topology,
+                                                     paper_gain, paper_x0, paper_minimization):
+    from test_ellipsoid import counted_calls
+
+    # paper_example3 in full: every readout Z e_k is a normal double above the law's floor,
+    # so each of the 100 001 samples is normalized in the loop, with no call to the law
+    calls = counted_calls(monkeypatch, sim.WorstCaseLaw, "unit")
+    spec = make_disturbance("worst_case", paper_plant, P=paper_minimization.P_star)
+    traj = simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, spec, 100.0, 1e-3)
+    assert len(traj.times) == 100_001 and not calls
 
 
 def test_none_is_zero(paper_plant):
@@ -156,13 +175,15 @@ def test_diverging_run_names_the_non_finite_error(kind, paper_plant, fig1_topolo
                                                   paper_x0, paper_minimization):
     # -K makes the error loop unstable; once e overflows, the law's sample is NaN and fails
     # the bound, and the refusal says that the error state, not the source, went wrong. The
-    # overflow and the NaN warn on the way, which is not under test here
+    # worst-case run refuses with no RuntimeWarning on the way; a custom sampler is user
+    # code, and its overflow and NaN warnings are not under test here
     p = paper_minimization.P_star
     worst = make_disturbance("worst_case", paper_plant, P=p)
     law = worst.law
     dist = worst if kind == "worst_case" else make_disturbance(
         "custom", paper_plant, sample=lambda t, e: law.unwhiten @ law.unit(e, np.eye(2)[0]))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet if kind == "custom" else contextlib.nullcontext(), pytest.raises(
             DisturbanceBoundViolatedError,
             match=r"t=7\.957 violates the Q bound; the error state is not finite"):
         simulate(paper_plant, fig1_topology, -paper_gain, [0.0], paper_x0, dist, 100.0, 1e-3,
@@ -319,6 +340,21 @@ def test_unstable_rk4_step_is_refused(monkeypatch, paper_plant, fig1_topology, p
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(UnstableStepError,
                                                                      match="radius inf >= 1"):
         simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1e80, 1e80)
+
+
+@pytest.mark.parametrize("kind", ["none", "sinusoid"])
+def test_non_finite_trajectory_is_refused(kind, paper_plant, fig1_topology, paper_gain,
+                                          paper_x0):
+    # at 1e20 K the slow eigenvalue -1.82 is lost beside one of order -2.6e21, so the abscissa
+    # reads 0.0 and the step-size test lets the run through; its errors overflow at t = 0.04,
+    # which is refused by name, with no RuntimeWarning. 1e8 K is refused by the step-size test
+    dist = make_disturbance(kind, paper_plant, amplitudes=PAPER_AMPS, angular_frequency=PAPER_FREQ)
+    args = (paper_plant, fig1_topology)
+    with pytest.raises(UnstableStepError, match=r"not finite from t=0\.04: step map spectral "
+                                                r"radius 2\.43996e\+78$"):
+        simulate(*args, 1e20 * paper_gain, [0.0], paper_x0, dist, 0.1, 1e-2)
+    with pytest.raises(UnstableStepError, match=r"outside the RK4 stability region"):
+        simulate(*args, 1e8 * paper_gain, [0.0], paper_x0, dist, 0.1, 1e-2)
 
 
 def test_controls_match_stacked_protocol(paper_plant, fig1_topology, paper_gain, paper_x0):
