@@ -23,13 +23,11 @@ def run(command, name):
 
 
 def main():
-    worst = 0
-    worst |= run("verify", "paper_example1")
-    worst |= run("minimize", "paper_example1")
+    worst = run("verify", "paper_example1")
+    worst = max(worst, run("minimize", "paper_example1"))
     for name in ("paper_example1", "paper_example2", "paper_example3"):
-        worst |= run("simulate", name)
-    worst |= run("report", "paper_example1")
-    return worst
+        worst = max(worst, run("simulate", name))
+    return max(worst, run("report", "paper_example1"))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .ellipsoid import (
 from .errors import ConfigError, ToolkitError
 from .gainsynth import DesignResult, consensus_feasible, design_gain, optimize_gain
 from .graph import LaplacianPair, Topology, build_laplacian, has_spanning_tree
-from .matkit import SpectrumSummary, are_solve, eig_sym, lyap_solve, spectrum
+from .matkit import SpectrumSummary, are_solve, lyap_solve, spectrum
 from .protocol import PlantModel, closed_loop
 from .sim import DisturbanceSpec, ErrorMetrics, Trajectory, make_disturbance, metrics, simulate
 
@@ -46,7 +46,6 @@ __all__ = [
     "closed_loop",
     "consensus_feasible",
     "design_gain",
-    "eig_sym",
     "find_beta",
     "has_spanning_tree",
     "invariance_block",

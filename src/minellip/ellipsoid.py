@@ -271,23 +271,21 @@ def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class WorstCaseLaw:
-    """:func:`worst_case_law` whitened by ``Q = L L^T``: ``omega* = unwhiten u`` with
-    ``unwhiten = L^-T`` and ``u = z / ||z||`` for the readout ``z = Z e``, ``Z = L^-1 (1_N (x)
-    E)^T P`` over its max-abs entry (omega* has degree 0 in P and in e), so ``omega*^T Q omega*
-    = u^T u``. P is the checked P; ``unit`` is the scaled form, which the fused simulation
-    step calls only off its own fast path ``Z e / ||Z e||``."""
+    """:func:`worst_case_law` whitened by ``Q = L L^T``: ``omega* = unwhiten u``, ``unwhiten =
+    L^-T``, ``u = z / ||z||`` for the readout ``z = Z e``, ``Z = L^-1 (1_N (x) E)^T P`` over its
+    max-abs entry (omega* has degree 0 in P and e), so ``omega*^T Q omega* = u^T u``. ``unit``
+    is the scaled form, which the fused step calls only off its fast path ``Z e / ||Z e||``."""
 
     Z: np.ndarray
     unwhiten: np.ndarray
     floor: float
-    P: np.ndarray
 
     def unit(self, e: np.ndarray, held=None) -> np.ndarray | None:
         """u at e, or ``held`` where ``||z|| <= floor ||e||`` (e = 0 too). z is formed from e
         over its max-abs entry, which no scale of e or P over- or underflows. A NaN in e gives
         a NaN u."""
-        if e.shape != self.P.shape[:1]:
-            raise DimensionMismatchError(f"error shape {e.shape} does not match P {self.P.shape}")
+        if e.shape != self.Z.shape[1:]:
+            raise DimensionMismatchError(f"error shape {e.shape} is not {self.Z.shape[1:]}")
         e = e / (np.abs(e).max() or 1.0)
         z = self.Z.dot(e)
         r = math.sqrt(z.dot(z))
@@ -303,15 +301,15 @@ def worst_case_law(P, plant: PlantModel) -> WorstCaseLaw:
     with ``omega*^T Q omega* = 1``, or None where ``||z|| <= 1e-12 ||Z||_F ||e||`` (see
     :class:`WorstCaseLaw`). Its operands are built once, so a simulation can call it every
     step. N is P's order over n, P must pass ``check_pd``; ``DimensionMismatchError`` when n
-    does not divide it or e misses it."""
+    does not divide it or e misses it. Q is the plant's, which ``PlantModel`` checked."""
     n_followers, rest = divmod(len(P), plant.n)
     if rest:
         raise DimensionMismatchError(f"P's order {len(P)} is not a multiple of n={plant.n}")
     P = matkit.check_pd(P, n_followers * plant.n, "P")[0]
-    l_inv = np.linalg.inv(matkit.check_pd(plant.Q, plant.p, "Q")[1])
+    l_inv = np.linalg.inv(np.linalg.cholesky(plant.Q))
     z = l_inv @ (disturbance_channel(plant, n_followers).T @ P)
     z /= np.abs(z).max() or 1.0
-    return WorstCaseLaw(z, l_inv.T, 1e-12 * float(np.linalg.norm(z, "fro")), P)
+    return WorstCaseLaw(z, l_inv.T, 1e-12 * float(np.linalg.norm(z, "fro")))
 
 
 def worst_disturbance(P, plant: PlantModel, e) -> np.ndarray:

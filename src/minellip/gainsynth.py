@@ -44,7 +44,7 @@ def design_gain(plant: PlantModel, lp: LaplacianPair, gamma: float, q0=None) -> 
     """
     if not has_spanning_tree(lp):
         raise NoSpanningTreeError("topology has no spanning tree rooted at the leader")
-    lam_min = float(matkit.eig_sym(lp.L_tilde)[0])
+    lam_min = float(lp.modes[0][0])
     if q0 is None:
         q0 = np.eye(plant.n)
     p_are = matkit.are_solve(plant.A, plant.B, q0, gamma)

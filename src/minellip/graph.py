@@ -11,6 +11,7 @@ and ellipsoid analysis rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,15 @@ class LaplacianPair:
     L: np.ndarray
     L_tilde: np.ndarray
 
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(lam ascending, U)`` of ``L_tilde = U diag(lam) U^T``, formed on first
+        use after ``check_symmetric``: the one basis of every reader of the graph's spectrum."""
+        lam, u = np.linalg.eigh(matkit.check_symmetric(self.L_tilde, name="L_tilde"))
+        lam.setflags(write=False)
+        u.setflags(write=False)
+        return lam, u
+
 
 def build_laplacian(topology: Topology) -> LaplacianPair:
     """Laplacian of the topology and its reduced follower block.
@@ -65,13 +75,13 @@ def build_laplacian(topology: Topology) -> LaplacianPair:
     """
     c = topology.adjacency
     lap = np.diag(c.sum(axis=1)) - c
-    return LaplacianPair(L=lap, L_tilde=lap[1:, 1:].copy())
+    lap.setflags(write=False)  # and so its view L_tilde: the pair's cached modes cannot go stale
+    return LaplacianPair(L=lap, L_tilde=lap[1:, 1:])
 
 
 def has_spanning_tree(lp: LaplacianPair) -> bool:
-    """True when the graph has a spanning tree rooted at the leader,
-    equivalently when L has exactly one zero eigenvalue. The leader row of L
-    is zero, so ``eig(L) = {0} U eig(L_tilde)`` and the test is
-    ``lambda_min(L_tilde) > 1e-8 lambda_max(L_tilde)``, at any weight scale."""
-    w = matkit.eig_sym(lp.L_tilde)
-    return bool(w[0] > 1e-8 * w[-1])
+    """True when the graph has a spanning tree rooted at the leader, equivalently when L has
+    exactly one zero eigenvalue. The leader row of L is zero, so ``eig(L) = {0} U eig(L_tilde)``
+    and the test is ``lambda_min(L_tilde) > 1e-8 lambda_max(L_tilde)``, at any weight scale."""
+    lam = lp.modes[0]
+    return bool(lam[0] > 1e-8 * lam[-1])

@@ -65,14 +65,6 @@ class SpectrumSummary:
     spectral_abscissa: float
 
 
-def eig_sym(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    Raises ``NotSymmetricError`` when ``s`` fails :func:`check_symmetric`.
-    """
-    return np.linalg.eigvalsh(check_symmetric(s))
-
-
 def spectrum(m) -> SpectrumSummary:
     """All eigenvalues (complex allowed) and the spectral abscissa of a
     square ``m`` or of a stack ``(..., n, n)`` of them, taken over the stack."""

@@ -95,10 +95,10 @@ class ModalForm:
 
 
 def modal_form(plant: PlantModel, lp: LaplacianPair, k) -> ModalForm:
-    """Decouple ``closed_loop(plant, lp, k)`` into its N modal n x n blocks;
-    their eigenvalues together are the spectrum of the stacked closed loop."""
+    """Decouple ``closed_loop(plant, lp, k)`` into its N modal n x n blocks in the basis
+    ``lp.modes``; their eigenvalues together are the spectrum of the stacked closed loop."""
     k = check_gain(plant, k)
-    lam, u = np.linalg.eigh(matkit.check_symmetric(lp.L_tilde, name="L_tilde"))
+    lam, u = lp.modes
     blocks = plant.A - lam[:, None, None] * (plant.B @ k)
     return ModalForm(lam=lam, U=u, c=u.sum(axis=0), blocks=blocks,
                      spectrum=matkit.spectrum(blocks))

@@ -168,8 +168,7 @@ def simulate(
         one, or a ``worst_case`` one off the fast path ``z / ||z||``, is checked once, online,
         before the step that uses it. A law's P must have order nN.
     P : optional (nN, nN) array
-        When given, it must pass :func:`~minellip.matkit.check_pd`, unless it equals the P
-        that ``dist.law`` checked, and ``V = e^T P e`` is recorded alongside the trajectory.
+        When given, it must pass :func:`~minellip.matkit.check_pd`; ``V = e^T P e`` is recorded.
 
     Raises ``UnstableStepError`` when the RK4 step map Phi has spectral radius >= 1 (inf if it
     overflows) on a Hurwitz error closed loop; the abscissa is computed only in that case. It
@@ -196,10 +195,10 @@ def simulate(
     nn, law = n_followers * n, dist.law
     if dist.kind == "worst_case" and law is None:
         raise MissingEllipsoidError("a worst_case source needs the law make_disturbance builds")
-    if law is not None and len(law.P) != nn:
-        raise DimensionMismatchError(f"the worst-case law's P has order {len(law.P)}, not {nn}")
-    if P is not None:  # a P equal to the one the law checked is not checked again
-        P = law.P if law is not None and np.array_equal(P, law.P) else check_pd(P, nn, "P")[0]
+    if law is not None and law.Z.shape[1] != nn:
+        raise DimensionMismatchError(f"the worst-case law has order {law.Z.shape[1]}, not {nn}")
+    if P is not None:
+        P = check_pd(P, nn, "P")[0]
     lp = build_laplacian(topology)
     n_steps = int(np.floor(t_final / dt + 1e-9))
     open_loop = dist.kind in ("none", "sinusoid")
@@ -289,6 +288,7 @@ def simulate(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Phi is refused by the caller
 def _rk4_step_map(m: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """``Phi = p(hM)`` and ``[G_a, G_b, G_c]``: one RK4 step of ``s' = M s + D w`` with ``w``
     held at ``w_a, w_b, w_b, w_c`` over its stages is ``Phi s + G_a w_a + G_b w_b + G_c w_c``."""

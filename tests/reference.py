@@ -3,7 +3,7 @@
 They restate the protocol agent by agent, the Laplacian spectrum relation,
 stage-by-stage RK4, the affine RK4 recurrence step by step, the worst-case
 disturbance, the disturbance Gramian, the stacked equation of the ellipsoid
-family, plain golden-section search in log beta and three small matrix
+family, plain golden-section search in log beta and four small matrix
 helpers; the package itself needs none of them. :func:`family_solution`, the
 ellipsoid family at any beta, is the exception: it wraps the package's own
 modal solve, which the package itself runs only at beta*.
@@ -23,16 +23,22 @@ def kron(a, b) -> np.ndarray:
     return np.kron(matkit.as_matrix(a, "a"), matkit.as_matrix(b, "b"))
 
 
+def eig_sym(s) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending; ``NotSymmetricError`` unless
+    ``s`` passes ``matkit.check_symmetric``."""
+    return np.linalg.eigvalsh(matkit.check_symmetric(s))
+
+
 def is_pd(s, tol: float = matkit.DEFAULT_TOL) -> bool:
     """True when the minimum eigenvalue of symmetric ``s`` is > tol * scale."""
-    w = matkit.eig_sym(s)
+    w = eig_sym(s)
     scale = 1.0 + float(np.abs(w).max())
     return bool(w.min() > tol * scale)
 
 
 def is_psd(s, tol: float = matkit.DEFAULT_TOL) -> bool:
     """True when the minimum eigenvalue of symmetric ``s`` is >= -tol * scale."""
-    w = matkit.eig_sym(s)
+    w = eig_sym(s)
     scale = 1.0 + float(np.abs(w).max())
     return bool(w.min() >= -tol * scale)
 

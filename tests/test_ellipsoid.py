@@ -815,9 +815,10 @@ def test_worst_case_sampler_and_worst_disturbance_share_one_law(paper_plant, fig
 def test_p_is_checked_once_per_call_chain(monkeypatch, paper_plant, fig1_topology,
                                            fig1_laplacian, paper_gain, paper_x0,
                                            paper_minimization):
-    # find_beta certifies the P it checked, and simulate takes the P that its
-    # worst-case law checked: one check_pd (one Cholesky) of P per call chain;
-    # the refusals stay those of test_every_p_entry_point_refuses_alike
+    # find_beta certifies the P it checked: one check_pd (one Cholesky) of P per call. The
+    # worst-case law keeps no P, so make_disturbance and simulate each check the P they are
+    # given, once, and the law factors the plant's Q, which PlantModel checked, with no
+    # second check; the refusals stay those of test_every_p_entry_point_refuses_alike
     import minellip.sim
 
     checked = []
@@ -835,7 +836,7 @@ def test_p_is_checked_once_per_call_chain(monkeypatch, paper_plant, fig1_topolog
     checked.clear()
     dist = make_disturbance("worst_case", paper_plant, P=p_star)
     simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 0.1, 1e-2, P=p_star)
-    assert checked.count("P") == 1
+    assert checked == ["P", "P"]
 
 
 # --- Schur-complement agreement of the invariance test ---------------------

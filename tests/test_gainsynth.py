@@ -8,7 +8,6 @@ from minellip import (
     closed_loop,
     consensus_feasible,
     design_gain,
-    eig_sym,
     optimize_gain,
     spectrum,
 )
@@ -18,6 +17,7 @@ from minellip.errors import (
     NotStabilizableError,
 )
 from minellip.matkit import are_solve
+from reference import eig_sym
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,28 @@
+import runpy
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from minellip import (
     Topology,
     build_laplacian,
+    check_input_bound,
+    check_invariant,
+    cli,
     consensus_feasible,
-    eig_sym,
+    find_beta,
     has_spanning_tree,
+    matkit,
     minimize_trace,
+    optimize_gain,
+    scenario,
+    worst_disturbance,
 )
 from minellip.errors import InvalidTopologyError
 from minellip.graph import LaplacianPair
-from reference import spectrum_relation_check
+from reference import eig_sym, spectrum_relation_check
 
 SQRT2 = np.sqrt(2.0)
 
@@ -153,3 +164,65 @@ def test_deleting_leader_links_breaks_tree():
         cut[:, 0] = 0.0
         lp = build_laplacian(Topology(adjacency=cut))
         assert not has_spanning_tree(lp)
+
+
+def test_laplacians_are_read_only(fig1_topology):
+    # the pair caches its basis, so neither Laplacian nor the basis may change under it
+    lp = build_laplacian(fig1_topology)
+    for a in (lp.L, lp.L_tilde, *lp.modes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def laplacian_reads(monkeypatch, l_tilde) -> Counter:
+    """Count the ``eigh``, ``eigvalsh`` and ``check_symmetric`` calls on a matrix equal to
+    ``l_tilde``, whichever module makes them."""
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(s, *args, **kwargs):
+            counts[name] += np.array_equal(s, l_tilde)
+            return real(s, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(np.linalg, "eigh")
+    count(np.linalg, "eigvalsh")
+    count(matkit, "check_symmetric")
+    return counts
+
+
+ONCE = Counter(eigh=1, eigvalsh=0, check_symmetric=1)
+
+
+def test_one_decomposition_per_graph_in_a_gamma_sweep(monkeypatch, paper_plant):
+    # the N = 10 system of the benchmark's gamma sweep (seed 1): 16 design_gain and 16
+    # minimize_trace calls read one basis, where each used to decompose L_tilde on its own
+    bench = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    lp = build_laplacian(Topology(
+        adjacency=bench["random_adjacency"](10, np.random.default_rng((1, 10, 0)))))
+    counts = laplacian_reads(monkeypatch, lp.L_tilde)
+    optimize_gain(paper_plant, lp)
+    assert counts == ONCE
+
+
+def test_one_decomposition_per_graph_in_verify(monkeypatch, tmp_path):
+    path = scenario.bundled_path("paper_example1")
+    counts = laplacian_reads(monkeypatch, build_laplacian(scenario.load(path).topology).L_tilde)
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert counts == ONCE
+
+
+def test_one_decomposition_per_graph_in_a_certificate_chain(monkeypatch, paper_plant,
+                                                            fig1_topology, paper_gain):
+    lp = build_laplacian(fig1_topology)
+    counts = laplacian_reads(monkeypatch, lp.L_tilde)
+    assert consensus_feasible(paper_plant, lp)
+    res = minimize_trace(paper_plant, lp, paper_gain)
+    check_invariant(paper_plant, lp, paper_gain, res.P_star, res.beta_star)
+    find_beta(paper_plant, lp, paper_gain, res.P_star)
+    check_input_bound(lp, paper_gain, res.P_star, paper_plant.eta)
+    worst_disturbance(res.P_star, paper_plant, np.ones(6))
+    assert counts == ONCE

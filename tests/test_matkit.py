@@ -4,14 +4,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minellip import are_solve, eig_sym, lyap_solve, spectrum
+from minellip import are_solve, design_gain, has_spanning_tree, lyap_solve, spectrum
+from minellip.graph import LaplacianPair
 from minellip.matkit import as_matrix, check_pd, check_symmetric, sylvester_solve
 from minellip.errors import (
     NotStabilizableError,
     NotSymmetricError,
     SingularSylvesterError,
 )
-from reference import is_pd, is_psd, kron
+from minellip.protocol import modal_form
+from reference import eig_sym, is_pd, is_psd, kron
 
 SQRT2 = np.sqrt(2.0)
 
@@ -57,24 +59,23 @@ def test_kron_mixed_product_identity(ra, ca, rb, cb, seed):
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
-# --- eig_sym ----------------------------------------------------------
+# --- the graph's symmetric eigendecomposition ---------------------------
 
 def test_eig_sym_reduced_laplacian(fig1_laplacian):
-    w = eig_sym(fig1_laplacian.L_tilde)
-    np.testing.assert_allclose(w, [2.0 - SQRT2, 2.0, 2.0 + SQRT2], atol=1e-10)
+    # the graph's basis: ascending eigenvalues and an orthonormal U that diagonalizes L_tilde
+    lam, u = fig1_laplacian.modes
+    np.testing.assert_allclose(lam, [2.0 - SQRT2, 2.0, 2.0 + SQRT2], atol=1e-10)
+    np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(u @ np.diag(lam) @ u.T, fig1_laplacian.L_tilde, atol=1e-14)
 
 
-def test_eig_sym_identity():
-    np.testing.assert_allclose(eig_sym(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-14)
-
-
-def test_eig_sym_disturbance_weight():
-    np.testing.assert_allclose(eig_sym(np.diag([800.0, 4000.0])), [800.0, 4000.0], atol=1e-9)
-
-
-def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        eig_sym([[0.0, 1.0], [0.0, 0.0]])
+def test_eig_sym_rejects_asymmetric(paper_plant, paper_gain):
+    # every reader of a hand-built pair's basis refuses an asymmetric L_tilde
+    lp = LaplacianPair(L=np.zeros((3, 3)), L_tilde=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for read in (has_spanning_tree, lambda lp: modal_form(paper_plant, lp, paper_gain),
+                 lambda lp: design_gain(paper_plant, lp, 1.0)):
+        with pytest.raises(NotSymmetricError, match="L_tilde"):
+            read(lp)
 
 
 def test_symmetry_and_definiteness_at_any_scale(paper_minimization):
@@ -90,16 +91,6 @@ def test_symmetry_and_definiteness_at_any_scale(paper_minimization):
         np.testing.assert_array_equal(s, scale * p_star)
         np.testing.assert_allclose(chol @ chol.T, s, rtol=0.0,
                                    atol=1e-12 * scale * np.abs(p_star).max())
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 10_000))
-def test_eig_sym_sum_equals_trace(n, seed):
-    rng = np.random.default_rng(seed)
-    s = rng.normal(size=(n, n))
-    s = s + s.T
-    w = eig_sym(s)
-    assert abs(w.sum() - np.trace(s)) <= 1e-10 * max(1.0, np.linalg.norm(s, "fro"))
 
 
 # --- spectrum ---------------------------------------------------------

@@ -31,3 +31,14 @@ def test_paper_examples_report_config_errors(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(scenario, "bundled_path", lambda name: bad)
     assert module["run"]("verify", "paper_example1") == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_paper_examples_exit_with_the_worst_code(monkeypatch):
+    # an infeasible verify (1) and then a config error (2) exit 2, a code the CLI uses, not 1 | 2
+    from minellip import cli
+
+    monkeypatch.setattr(sys, "argv", ["run_paper_examples.py"])
+    module = runpy.run_path(str(SCRIPTS / "run_paper_examples.py"))
+    codes = iter([1, 2])
+    monkeypatch.setattr(cli, "main", lambda argv: next(codes, 0))
+    assert module["main"]() == 2

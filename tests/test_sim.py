@@ -336,10 +336,15 @@ def test_unstable_rk4_step_is_refused(monkeypatch, paper_plant, fig1_topology, p
                     1.0, 1e-2)
     assert np.all(np.isfinite(traj.errors))
     assert len(loops) == 3 and len(modal) == 2
-    # a step so long that Phi overflows has no finite spectral radius, and is refused alike
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(UnstableStepError,
-                                                                     match="radius inf >= 1"):
+    # a step so long that Phi overflows has no finite spectral radius, and is refused alike,
+    # with no overflow warning first
+    with pytest.raises(UnstableStepError, match="radius inf >= 1"):
         simulate(paper_plant, fig1_topology, paper_gain, [0.0], paper_x0, dist, 1e80, 1e80)
+    # so is a gain so large that Phi overflows at dt = 0.01: its abscissa is lost to rounding
+    # beside eigenvalues near -1e81, so the run is refused for its non-finite error instead
+    with pytest.raises(UnstableStepError, match="not finite from t=0.01: .* radius inf"):
+        simulate(paper_plant, fig1_topology, 1e80 * paper_gain, [0.0], paper_x0, dist, 1.0,
+                 1e-2)
 
 
 @pytest.mark.parametrize("kind", ["none", "sinusoid"])
