@@ -231,26 +231,30 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
 
     Brent's method in log beta finds beta* to relative accuracy 1e-8 on ``[1e-6, 1 - 1e-6]
     * beta_max`` from ``beta_max / 2``, the scalar family's minimizer; an evaluation solves
-    only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``, O(N n^6), each checked, by
-    one batched LU of ``kron_sum(A_i, A_i) + beta I`` built once; X* is assembled at beta*.
+    only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``, O(N n^6), by one batched LU of
+    ``kron_sum(A_i, A_i) + beta I``, its operator and right side built once. One residual
+    check over every evaluation's blocks follows the search; X* is assembled at beta*.
     """
     modal, w, beta_max = _family_setup(plant, lp, k)
     op = matkit.kron_sum(modal.blocks, modal.blocks)
-    beta_star = _log_golden_min(
-        lambda beta: float(np.einsum("kii->", _diagonal_blocks(modal, w, beta, op))),
-        1e-6 * beta_max, (1.0 - 1e-6) * beta_max, 1e-8, 0.5 * beta_max)
+    eye, c2w, solves = np.eye(op.shape[-1]), modal.c[:, None, None] ** 2 * w, {}
+    rhs = -c2w.reshape(op.shape[:-1] + (1,))
+
+    def trace(beta: float) -> float:  # _diagonal_blocks, its check deferred to the search's end
+        x = solves[beta] = matkit.kron_solve(op + beta * eye, rhs / beta).reshape(c2w.shape)
+        return float(np.einsum("kii->", x))
+
+    beta_star = _log_golden_min(trace, 1e-6 * beta_max, (1 - 1e-6) * beta_max, 1e-8, beta_max / 2)
+    beta = np.array(list(solves))[:, None, None, None]
+    shifted = modal.blocks + 0.5 * beta * np.eye(plant.n)
+    matkit.check_residual(shifted, shifted, np.array(list(solves.values())), c2w / beta)
     y = _family_at(modal, w, beta_star, op)
     x_star = _stacked(modal.U, y)
     # P is inverted before the rotation, where unreachable modes stay
     # decoupled, so an ill-conditioned X costs P no accuracy
     p_star = _stacked(modal.U, np.linalg.inv(0.5 * (y + y.T)))
-    return MinimizationResult(
-        beta_star=beta_star,
-        X_star=x_star,
-        P_star=p_star,
-        trace_value=float(np.trace(x_star)),
-        beta_max=float(beta_max),
-    )
+    return MinimizationResult(beta_star=beta_star, X_star=x_star, P_star=p_star,
+                              trace_value=float(np.trace(x_star)), beta_max=float(beta_max))
 
 
 def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:

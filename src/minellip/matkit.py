@@ -93,8 +93,8 @@ def sylvester_solve(m, n, c, op=None) -> np.ndarray:
     m is (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast.
 
     Each item is vectorized row by row, ``kron_sum(m, n) vec(X) = -vec(c)`` (``op``,
-    if given, is that operator), and the batch goes to one LU call. The operator
-    is never diagonalized, so defective m or n cost no accuracy. Raises
+    if given, is that operator), and the batch goes to one LU call, :func:`kron_solve`.
+    The operator is never diagonalized, so defective m or n cost no accuracy. Raises
     ``SingularSylvesterError`` when an eigenvalue of ``m_k`` plus one of ``n_k``
     is zero or an item misses :func:`check_residual` (on m, n and c, not op).
     """
@@ -102,29 +102,35 @@ def sylvester_solve(m, n, c, op=None) -> np.ndarray:
     a, b = m.shape[-1], n.shape[-1]
     if m.shape[-2:] != (a, a) or n.shape[-2:] != (b, b) or c.shape[-2:] != (a, b):
         raise ValueError(f"shapes {m.shape}, {n.shape}, {c.shape} do not form m X + X n^T + c")
-    try:
-        x = np.linalg.solve(kron_sum(m, n) if op is None else op,
-                            -c.reshape(c.shape[:-2] + (a * b, 1)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSylvesterError("an eigenvalue of m plus one of n is zero") from exc
+    x = kron_solve(kron_sum(m, n) if op is None else op, -c.reshape(c.shape[:-2] + (a * b, 1)))
     x = x.reshape(x.shape[:-2] + (a, b))
     check_residual(m, n, x, c)
     return x
 
 
+def kron_solve(op, rhs) -> np.ndarray:
+    """:func:`sylvester_solve`'s LU step, unchecked: ``op^-1 rhs``, ``SingularSylvesterError``
+    where an operator is singular. A caller keeping its solves owes them :func:`check_residual`."""
+    try:
+        return np.linalg.solve(op, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSylvesterError("an eigenvalue of m plus one of n is zero") from exc
+
+
 def check_residual(m, n, x, c) -> None:
-    """Raise ``SingularSylvesterError`` unless every item of the batch has
-    ``||m X + X n^T + c|| <= DEFAULT_TOL * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
-    (Frobenius norms). A nearly singular operator fails it, and so does a
-    well-conditioned one whose LU solve is ruined by pivot growth, so the
-    refusal names the residual and its bound, not a cause."""
+    """Raise ``SingularSylvesterError`` unless every item of the batch (a whole search's solves,
+    say) has ``||m X + X n^T + c|| <= DEFAULT_TOL * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
+    (Frobenius norms), a backward-error test (Higham, 2002, ch. 16) that a NaN or inf X fails
+    without a RuntimeWarning. A nearly singular operator fails it, and so does a well-conditioned
+    one whose LU solve is ruined by pivot growth: the refusal names the residual, not a cause."""
     def fro(y):
         return np.sqrt(np.einsum("...ij,...ij->...", y, y))
 
-    fro_m = fro(m)  # n is m in every lyap_solve and trace evaluation
-    ratio = fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
-        1e-30, 0.5 * (fro_m + (fro_m if n is m else fro(n))) * fro(x) + fro(c))
-    if np.any(ratio > DEFAULT_TOL):
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro_m = fro(m)  # n is m in every lyap_solve and trace evaluation
+        ratio = fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
+            1e-30, 0.5 * (fro_m + (fro_m if n is m else fro(n))) * fro(x) + fro(c))
+    if not (ratio <= DEFAULT_TOL).all():  # NaN fails it too
         raise SingularSylvesterError(
             f"Sylvester relative residual {float(np.max(ratio)):.3e} above {DEFAULT_TOL:g}")
 

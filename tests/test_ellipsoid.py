@@ -28,6 +28,7 @@ from minellip.errors import (
     DimensionMismatchError,
     NotHurwitzError,
     NotSymmetricError,
+    SingularSylvesterError,
 )
 from minellip.matkit import lyap_solve
 from minellip.protocol import modal_form
@@ -475,33 +476,58 @@ def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, 
     else:
         plant, k = paper_plant, paper_gain
         lp = build_laplacian(Topology(adjacency=seeded_adjacency(10, 7)))
-    checks = []
-    check_residual = matkit.check_residual
-    monkeypatch.setattr(matkit, "check_residual",
-                        lambda *args: checks.append(args) or check_residual(*args))
+    checks = counted_calls(monkeypatch, matkit, "check_residual")
     search = ellipsoid._log_golden_min
-    evaluations = []
+    evaluations, ends = [], []
 
     def counted_search(f, *bracket_rtol_start):
         def counted(beta):
             before = len(checks)
             value = f(beta)
-            evaluations.append((beta, checks[before:]))
+            evaluations.append((beta, value, len(checks) - before))
             return value
 
-        return search(counted, *bracket_rtol_start)
+        result = search(counted, *bracket_rtol_start)
+        ends.append(len(checks))
+        return result
 
     monkeypatch.setattr(ellipsoid, "_log_golden_min", counted_search)
-    minimize_trace(plant, lp, k)
+    res = minimize_trace(plant, lp, k)
+    (m, n, x, _), *later = checks  # before _diagonal_blocks below adds its own checks
     assert 0 < len(evaluations) <= 24
-    # one residual check per evaluation, on the shifted blocks themselves, not
-    # on the operator the solve reused
-    blocks = modal_form(plant, lp, k).blocks
-    for beta, calls in evaluations:
-        assert len(calls) == 1
-        m, n = calls[0][:2]
-        np.testing.assert_array_equal(m, blocks + 0.5 * beta * np.eye(plant.n))
-        np.testing.assert_array_equal(n, m)
+    assert ends == [0] and all(made == 0 for *_, made in evaluations)
+    # exactly one residual check covers the search, right after it: on the shifted
+    # blocks themselves at every evaluated beta, in order, not on the operator the
+    # solves reused, and on the very solves whose traces the search compared, each
+    # bit for bit the trace of the immediately checked diagonal-block solve
+    modal, w, _ = ellipsoid._family_setup(plant, lp, k)
+    op, blocks = matkit.kron_sum(modal.blocks, modal.blocks), modal.blocks
+    assert n is m and m.shape == (len(evaluations),) + blocks.shape == x.shape
+    for (beta, value, _), m_j, x_j in zip(evaluations, m, x):
+        np.testing.assert_array_equal(m_j, blocks + 0.5 * beta * np.eye(plant.n))
+        assert np.einsum("kii->", x_j) == value == np.einsum(
+            "kii->", ellipsoid._diagonal_blocks(modal, w, beta, op))
+    # the checks that follow are X*'s own, at beta* alone
+    for m, *_ in later:
+        np.testing.assert_array_equal(m.reshape(blocks.shape),
+                                      blocks + 0.5 * res.beta_star * np.eye(plant.n))
+
+
+def test_trace_search_refuses_a_perturbed_evaluation(monkeypatch, paper_plant, fig1_laplacian,
+                                                     paper_gain):
+    # one search solve off by a relative 1e-6 misses its equation; the check after
+    # the search refuses it, though none runs inside the search
+    solve, calls = matkit.kron_solve, []
+
+    def mutant(op, rhs):
+        calls.append(op)
+        x = solve(op, rhs)
+        return x * (1.0 + 1e-6) if len(calls) == 3 else x
+
+    monkeypatch.setattr(matkit, "kron_solve", mutant)
+    with pytest.raises(SingularSylvesterError, match="residual"):
+        minimize_trace(paper_plant, fig1_laplacian, paper_gain)
+    assert len(calls) > 3  # the search went on past the bad solve
 
 
 def counted_calls(monkeypatch, module, name) -> list:

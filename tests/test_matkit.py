@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,13 @@ from hypothesis import strategies as st
 
 from minellip import are_solve, design_gain, has_spanning_tree, lyap_solve, spectrum
 from minellip.graph import LaplacianPair
-from minellip.matkit import as_matrix, check_pd, check_symmetric, sylvester_solve
+from minellip.matkit import (
+    as_matrix,
+    check_pd,
+    check_residual,
+    check_symmetric,
+    sylvester_solve,
+)
 from minellip.errors import (
     NotStabilizableError,
     NotSymmetricError,
@@ -198,6 +206,19 @@ def test_sylvester_batch_with_singular_item_raises():
     n = np.stack([random_hurwitz(rng, 2), np.diag([-1.0, 3.0]), random_hurwitz(rng, 2)])
     with pytest.raises(SingularSylvesterError):
         sylvester_solve(m, n, rng.normal(size=(3, 2, 2)))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sylvester_solve([[-1e-160]], [[-1e-160]], [[1e200]]),
+    lambda: lyap_solve([[-1e-160]], [[1e200]]),
+    lambda: check_residual(-np.eye(2), -np.eye(2), np.full((2, 2), np.nan), np.eye(2)),
+], ids=["sylvester-overflow", "lyap-overflow", "nan-solution"])
+def test_non_finite_solution_is_refused_without_warning(solve):
+    # 1e200 / 2e-160 overflows to X = inf, whose residual ratio inf / inf is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSylvesterError, match="residual nan above"):
+            solve()
 
 
 # --- are_solve --------------------------------------------------------
