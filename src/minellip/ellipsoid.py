@@ -26,7 +26,7 @@ import numpy as np
 from . import matkit
 from .errors import DegenerateDirectionError, DimensionMismatchError, NotHurwitzError
 from .graph import LaplacianPair
-from .protocol import ModalForm, PlantModel, closed_loop, disturbance_channel, modal_form
+from .protocol import PlantModel, closed_loop, disturbance_channel, modal_form
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, 1 - 1/phi
 
@@ -88,20 +88,20 @@ def _certificate(block: np.ndarray, beta: float) -> InvarianceCertificate:
                                  feasible=max_eig <= 1e-7 * (1.0 + float(np.abs(w).max())))
 
 
-def _log_golden_min(f, lo: float, hi: float, rtol: float, start: float) -> float:
-    """Minimizer of a convex ``f`` on ``[lo, hi]`` to relative accuracy ``rtol``: Brent's
-    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) in log beta from
-    ``start``. It steps to the vertex of the parabola through the three best points, or
-    golden-section into the larger side where that vertex leaves the bracket or the step
-    would not halve the one before last. Convex in beta is unimodal in log beta, so no
-    pre-scan is needed. The trace ``tr X(b) = int_0^inf (e^{bt}/b) tr(e^{A_cl t} G
-    e^{A_cl^T t}) dt`` is strictly convex, as ``d^2/db^2 (e^{bt}/b) = e^{bt} ((bt - 1)^2 + 1)
-    / b^3 > 0``, and ``M0 + b P + P G P / b`` is matrix-convex, so ``find_beta``'s lambda_max
-    is convex (Boyd et al., *LMIs in System and Control Theory*, SIAM 1994)."""
+def _log_brent(lo: float, hi: float, rtol: float, start: float):
+    """Brent's method (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) in log
+    beta for a convex f on ``[lo, hi]`` from ``start``, as a generator that yields each beta, is
+    sent f(beta) and returns the minimizer to relative accuracy ``rtol``. It steps to the vertex
+    of the parabola through the three best points, or golden-section into the larger side where
+    that vertex leaves the bracket or the step would not halve the one before last. Convex in
+    beta is unimodal in log beta, so no pre-scan is needed. The trace ``tr X(b) = int_0^inf
+    (e^{bt}/b) tr(e^{A_cl t} G e^{A_cl^T t}) dt`` is strictly convex, as ``d^2/db^2 (e^{bt}/b) =
+    e^{bt} ((bt - 1)^2 + 1) / b^3 > 0``, and ``M0 + b P + P G P / b`` is matrix-convex, so
+    ``find_beta``'s lambda_max is convex (Boyd et al., *LMIs in System and Control Theory*)."""
     a, b = math.log(lo), math.log(hi)
     tol = 0.5 * math.log1p(rtol)  # the bracket around x ends within 2 tol of x
     x = w = v = math.log(start)
-    fx = fw = fv = f(start)
+    fx = fw = fv = yield start
     d = e = 0.0  # the last step and the one before it
     while max(x - a, b - x) > 2.0 * tol:
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)  # the parabola through v, w and x
@@ -115,7 +115,7 @@ def _log_golden_min(f, lo: float, hi: float, rtol: float, start: float) -> float
             e = (a if 2.0 * x >= a + b else b) - x
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(math.exp(u))
+        fu = yield math.exp(u)
         if fu <= fx:
             a, b = (a, x) if u < x else (x, b)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -126,6 +126,16 @@ def _log_golden_min(f, lo: float, hi: float, rtol: float, start: float) -> float
             elif fu <= fv or v in (x, w):
                 v, fv = u, fu
     return math.exp(x)
+
+
+def _log_golden_min(f, lo: float, hi: float, rtol: float, start: float) -> float:
+    """Minimizer of a convex ``f`` on ``[lo, hi]``: :func:`_log_brent` driven by f."""
+    search, value = _log_brent(lo, hi, rtol, start), None
+    while True:
+        try:
+            value = f(search.send(value))
+        except StopIteration as done:
+            return done.value
 
 
 def _multiplier_bracket(m0: np.ndarray, pgp: np.ndarray, P: np.ndarray):
@@ -185,44 +195,88 @@ def _family_setup(plant: PlantModel, lp: LaplacianPair, k):
     return modal, 0.5 * (w + w.T), -2.0 * abscissa
 
 
-def _diagonal_blocks(modal: ModalForm, w: np.ndarray, beta: float, op, reg: float = 0.0):
-    """X(beta)'s N modal diagonal blocks by one LU of ``op + beta I``, ``op = kron_sum(A_i, A_i)``:
-    ``(A_i + beta/2) X_ii + X_ii (A_i + beta/2)^T + (c_i^2 W + reg I) / beta = 0``."""
-    eye = np.eye(w.shape[0])
-    shifted = modal.blocks + 0.5 * beta * eye
-    rhs = (modal.c[:, None, None] ** 2 * w + reg * eye) / beta
-    return matkit.sylvester_solve(shifted, shifted, rhs, op + beta * np.eye(op.shape[-1]))
-
-
-def _family_at(modal: ModalForm, w: np.ndarray, beta: float, op) -> np.ndarray:
-    """X(beta) in modal coordinates: the nN x nN matrix of the N^2 blocks ``X_ij`` of
-    ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T + c_i c_j W / beta = 0``, solved in one
-    batched call; :func:`_stacked` maps it to the stacked X. ``op = kron_sum(A_i, A_i)``
-    serves the widening's re-solve of the diagonal blocks."""
-    n_followers, n = modal.blocks.shape[:2]
-    shifted = modal.blocks + 0.5 * beta * np.eye(n)
-    y = matkit.sylvester_solve(shifted[:, None], shifted[None],
-                               np.multiply.outer(modal.c, modal.c)[:, :, None, None] * w / beta)
-    y = y.transpose(0, 2, 1, 3)
-    ev = np.linalg.eigvalsh(y.reshape(n_followers * n, -1))
-    if ev.min() <= 1e-10 * max(ev.max(), 1e-300):
-        # Error directions unreachable from the shared disturbance make the
-        # Gramian singular; a tiny isotropic widening keeps X invertible and
-        # the resulting certificate strictly feasible. U is orthogonal, so
-        # the widening lands on the diagonal blocks only.
-        reg = 1e-8 * max(float(modal.c @ modal.c) * float(np.linalg.eigvalsh(w)[-1]), 1e-30)
-        modes = np.arange(n_followers)
-        y[modes, :, modes] = _diagonal_blocks(modal, w, beta, op, reg)
-    return y.reshape(n_followers * n, -1)
+def _family_at(blocks: np.ndarray, c: np.ndarray, w: np.ndarray, beta: np.ndarray, op):
+    """X(beta_g) in modal coordinates for each gain g of the (G, N, n, n) blocks: the N^2 blocks
+    ``X_ij`` of ``(A_i + beta/2) X_ij + X_ij (A_j + beta/2)^T + c_i c_j W / beta = 0`` by one
+    batched LU, as (G, nN, nN). A widened gain's diagonal blocks, with ``c_i^2 W + reg I``, are
+    solved again by the search's ``op + beta I``; one residual check covers every block."""
+    n_gains, n_followers, n = blocks.shape[:3]
+    beta = beta[:, None, None, None]
+    shifted = blocks + 0.5 * beta * np.eye(n)
+    m, rhs = shifted[:, :, None], np.multiply.outer(c, c)[:, :, None, None] * w / beta[..., None]
+    y = matkit.kron_solve(matkit.kron_sum(m, shifted[:, None]),
+                          -rhs.reshape(rhs.shape[:-2] + (n * n, 1))).reshape(rhs.shape)
+    ev = np.linalg.eigvalsh(y.transpose(0, 1, 3, 2, 4).reshape(n_gains, n_followers * n, -1))
+    # Error directions unreachable from the shared disturbance make the
+    # Gramian singular; a tiny isotropic widening keeps X invertible and
+    # the resulting certificate strictly feasible. U is orthogonal, so
+    # the widening lands on the diagonal blocks only.
+    wide = np.flatnonzero(ev[:, 0] <= 1e-10 * np.maximum(ev[:, -1], 1e-300))
+    if len(wide):
+        reg = 1e-8 * max(float(c @ c) * float(np.linalg.eigvalsh(w)[-1]), 1e-30)
+        at = wide[:, None], np.arange(n_followers), np.arange(n_followers)
+        diag = rhs[at] = (c[:, None, None] ** 2 * w + reg * np.eye(n)) / beta[wide]
+        y[at] = matkit.kron_solve(op[wide] + beta[wide] * np.eye(n * n),
+                                  -diag.reshape(diag.shape[:-2] + (n * n, 1))).reshape(diag.shape)
+    matkit.check_residual(m, shifted[:, None], y, rhs)
+    return y.transpose(0, 1, 3, 2, 4).reshape(n_gains, n_followers * n, -1)
 
 
 def _stacked(u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(U (x) I_n) Y (U (x) I_n)^T``, symmetrized, for a Y of order nN in modal
-    coordinates: two products by U over the follower axes, O(n^2 N^3), never
-    forming ``U (x) I_n``."""
-    x = (u @ y.reshape(len(u), -1)).reshape(y.shape)  # (U (x) I_n) Y
-    x = (u @ x.T.reshape(len(u), -1)).reshape(y.shape)  # (U (x) I_n) x^T = X^T
-    return 0.5 * (x + x.T)
+    """``(U (x) I_n) Y_g (U (x) I_n)^T``, symmetrized, for a (G, nN, nN) stack of Y_g in modal
+    coordinates: two products by U over the follower axes, O(n^2 N^3) per item, never forming
+    ``U (x) I_n``."""
+    x = (u @ y.reshape(len(y), len(u), -1)).reshape(y.shape)  # (U (x) I_n) Y
+    x = (u @ x.swapaxes(-1, -2).reshape(len(y), len(u), -1)).reshape(y.shape)  # = X^T
+    return 0.5 * (x + x.swapaxes(-1, -2))
+
+
+#: Bound on G N^2 per X*/P* assembly (G N^2 n^4 operator entries): one gain at a time at large N.
+_ASSEMBLY_ITEMS = 4096
+
+
+def _minimize_traces(plant: PlantModel, lp: LaplacianPair, gains, eta=None) -> list:
+    """:func:`minimize_trace` for each of ``gains``, bitwise as for one gain alone: the searches
+    run in lockstep, one batched LU per round over the live ones, one residual check after all.
+    X*, P* and, given ``eta``, :func:`check_input_bound`'s test (None where a gain fails it)
+    follow in chunks of ``_ASSEMBLY_ITEMS``."""
+    setups = [_family_setup(plant, lp, k) for k in gains]
+    (modal, w, _), beta_max = setups[0], [s[2] for s in setups]
+    blocks = np.array([s[0].blocks for s in setups])
+    op = matkit.kron_sum(blocks, blocks)
+    eye, c2w = np.eye(op.shape[-1]), modal.c[:, None, None] ** 2 * w
+    rhs = -c2w.reshape(c2w.shape[:1] + op.shape[-1:] + (1,))
+    searches = [_log_brent(1e-6 * b, (1 - 1e-6) * b, 1e-8, b / 2) for b in beta_max]
+    beta, beta_star = [next(s) for s in searches], [0.0] * len(gains)
+    live, live_op, owners, evaluated, solves = list(range(len(gains))), op, [], [], []
+    while live:  # beta holds the next multiplier of each live search, in the order of live
+        shift = np.array(beta)[:, None, None, None]
+        x = matkit.kron_solve(live_op + shift * eye, rhs / shift).reshape((-1,) + c2w.shape)
+        owners, evaluated, beta = owners + live, evaluated + beta, []
+        solves.append(x)
+        for g, value in zip(live, np.einsum("gkii->g", x).tolist()):
+            try:
+                beta.append(searches[g].send(value))
+            except StopIteration as done:
+                beta_star[g] = done.value
+        if len(beta) < len(live):  # the live operators are re-indexed only when a search ends
+            live = [g for g in live if not beta_star[g]]
+            live_op = op[live]
+    shift = np.array(evaluated).reshape(-1, 1, 1, 1)
+    shifted = blocks[owners] + 0.5 * shift * np.eye(plant.n)
+    matkit.check_residual(shifted, shifted, np.concatenate(solves), c2w / shift)
+    del solves, shifted  # so that no search solve is held through the assembly
+    results, step = [], max(1, _ASSEMBLY_ITEMS // len(c2w) ** 2)
+    for chunk in (slice(g, g + step) for g in range(0, len(gains), step)):
+        y = _family_at(blocks[chunk], modal.c, w, np.array(beta_star[chunk]), op[chunk])
+        # P is inverted before the rotation, where unreachable modes stay
+        # decoupled, so an ill-conditioned X costs P no accuracy
+        x, p = (_stacked(modal.U, z) for z in (y, np.linalg.inv(0.5 * (y + y.swapaxes(-1, -2)))))
+        ok = [True] * len(y) if eta is None else _input_bounds(
+            lp, np.array(gains[chunk], dtype=float), np.linalg.cholesky(p), eta)
+        results += [MinimizationResult(b, x_g, p_g, float(np.trace(x_g)), top) if ok_g else None
+                    for b, x_g, p_g, top, ok_g in zip(beta_star[chunk], x, p, beta_max[chunk], ok)]
+    return results
 
 
 def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResult:
@@ -233,28 +287,15 @@ def minimize_trace(plant: PlantModel, lp: LaplacianPair, k) -> MinimizationResul
     * beta_max`` from ``beta_max / 2``, the scalar family's minimizer; an evaluation solves
     only the N modal diagonal blocks, ``tr X = sum_i tr X_ii``, O(N n^6), by one batched LU of
     ``kron_sum(A_i, A_i) + beta I``, its operator and right side built once. One residual
-    check over every evaluation's blocks follows the search; X* is assembled at beta*.
-    """
-    modal, w, beta_max = _family_setup(plant, lp, k)
-    op = matkit.kron_sum(modal.blocks, modal.blocks)
-    eye, c2w, solves = np.eye(op.shape[-1]), modal.c[:, None, None] ** 2 * w, {}
-    rhs = -c2w.reshape(op.shape[:-1] + (1,))
+    check over every evaluation's blocks follows the search; X* is assembled at beta*. It is
+    the one-gain case of the gamma sweep's lockstep searches."""
+    return _minimize_traces(plant, lp, [k])[0]
 
-    def trace(beta: float) -> float:  # _diagonal_blocks, its check deferred to the search's end
-        x = solves[beta] = matkit.kron_solve(op + beta * eye, rhs / beta).reshape(c2w.shape)
-        return float(np.einsum("kii->", x))
 
-    beta_star = _log_golden_min(trace, 1e-6 * beta_max, (1 - 1e-6) * beta_max, 1e-8, beta_max / 2)
-    beta = np.array(list(solves))[:, None, None, None]
-    shifted = modal.blocks + 0.5 * beta * np.eye(plant.n)
-    matkit.check_residual(shifted, shifted, np.array(list(solves.values())), c2w / beta)
-    y = _family_at(modal, w, beta_star, op)
-    x_star = _stacked(modal.U, y)
-    # P is inverted before the rotation, where unreachable modes stay
-    # decoupled, so an ill-conditioned X costs P no accuracy
-    p_star = _stacked(modal.U, np.linalg.inv(0.5 * (y + y.T)))
-    return MinimizationResult(beta_star=beta_star, X_star=x_star, P_star=p_star,
-                              trace_value=float(np.trace(x_star)), beta_max=float(beta_max))
+def _input_bounds(lp: LaplacianPair, k: np.ndarray, c: np.ndarray, eta: float) -> np.ndarray:
+    """:func:`check_input_bound` for a gain K and the Cholesky factor of its P, or stacks of both."""
+    z = np.linalg.solve(c, np.kron(lp.L_tilde, k).swapaxes(-1, -2))
+    return np.linalg.eigvalsh(z.swapaxes(-1, -2) @ z)[..., -1] <= eta**2 * (1.0 + 1e-7)
 
 
 def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
@@ -268,9 +309,8 @@ def check_input_bound(lp: LaplacianPair, k, P, eta: float) -> bool:
     k, n = matkit.as_matrix(k, "K"), len(np.atleast_1d(P)) / len(lp.L_tilde)
     if n.is_integer() and k.shape[1] != n:  # else P's order is wrong, and check_pd says so
         raise DimensionMismatchError(f"K must have {n:.0f} columns to match P, got {k.shape}")
-    r = np.kron(lp.L_tilde, k)
-    z = np.linalg.solve(matkit.check_pd(P, r.shape[1], "P")[1], r.T)
-    return bool(np.linalg.eigvalsh(z.T @ z)[-1] <= eta**2 * (1.0 + 1e-7))
+    c = matkit.check_pd(P, len(lp.L_tilde) * k.shape[1], "P")[1]
+    return bool(_input_bounds(lp, k, c, eta))
 
 
 @dataclass(frozen=True, eq=False)

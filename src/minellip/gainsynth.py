@@ -4,8 +4,11 @@ A single Riccati solve per gamma yields a gain that stabilizes every modal
 subsystem ``A - lambda_i B K`` at once, hence the whole stacked error
 dynamics. The outer sweep scans a gamma grid, minimizes the ellipsoid trace
 for each candidate gain and keeps the smallest-trace design whose protocol
-inputs respect the eta bound. The sweep is an exhaustive scan, so the
-returned design is the best on the grid, not a certified global optimum.
+inputs respect the eta bound. The gains' trace searches run in lockstep, one
+batched LU per round, and their X*, P* and input tests are stacked; each
+result is bitwise that of ``minimize_trace`` and ``check_input_bound`` on its
+gain alone. The sweep is an exhaustive scan, so the returned design is the
+best on the grid, not a certified global optimum.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matkit
-from .ellipsoid import MinimizationResult, check_input_bound, minimize_trace
+from .ellipsoid import MinimizationResult, _minimize_traces
 from .errors import NoFeasibleDesignError, NoSpanningTreeError, NotStabilizableError
 from .graph import LaplacianPair, has_spanning_tree
 from .protocol import PlantModel
@@ -93,12 +96,10 @@ def optimize_gain(
     if not grid:
         raise ValueError("gamma_grid is empty")
 
-    feasible = []
-    for gamma in grid:
-        k = design_gain(plant, lp, gamma, q0)
-        minimization = minimize_trace(plant, lp, k)
-        if check_input_bound(lp, k, minimization.P_star, plant.eta):
-            feasible.append(DesignResult(K=k, gamma=gamma, minimization=minimization, input_ok=True))
+    gains = [design_gain(plant, lp, gamma, q0) for gamma in grid]
+    feasible = [DesignResult(K=k, gamma=gamma, minimization=minimization, input_ok=True)
+                for gamma, k, minimization in zip(grid, gains, _minimize_traces(
+                    plant, lp, gains, plant.eta)) if minimization is not None]
     if not feasible:
         raise NoFeasibleDesignError("every gamma on the grid violates the input bound")
     return min(feasible, key=lambda d: (d.minimization.trace_value, d.gamma))

@@ -88,21 +88,21 @@ def kron_sum(m, n) -> np.ndarray:
     return op.reshape(op.shape[:-4] + (a * b, a * b))
 
 
-def sylvester_solve(m, n, c, op=None) -> np.ndarray:
+def sylvester_solve(m, n, c) -> np.ndarray:
     """Solve ``m_k X_k + X_k n_k^T + c_k = 0`` for every item k of a batch:
     m is (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast.
 
-    Each item is vectorized row by row, ``kron_sum(m, n) vec(X) = -vec(c)`` (``op``,
-    if given, is that operator), and the batch goes to one LU call, :func:`kron_solve`.
-    The operator is never diagonalized, so defective m or n cost no accuracy. Raises
-    ``SingularSylvesterError`` when an eigenvalue of ``m_k`` plus one of ``n_k``
-    is zero or an item misses :func:`check_residual` (on m, n and c, not op).
+    Each item is vectorized row by row, ``kron_sum(m, n) vec(X) = -vec(c)``, and the
+    batch goes to one LU call, :func:`kron_solve`. The operator is never diagonalized,
+    so defective m or n cost no accuracy. Raises ``SingularSylvesterError`` when an
+    eigenvalue of ``m_k`` plus one of ``n_k`` is zero or an item misses
+    :func:`check_residual`.
     """
     m, n, c = (np.asarray(x, dtype=float) for x in (m, n, c))
     a, b = m.shape[-1], n.shape[-1]
     if m.shape[-2:] != (a, a) or n.shape[-2:] != (b, b) or c.shape[-2:] != (a, b):
         raise ValueError(f"shapes {m.shape}, {n.shape}, {c.shape} do not form m X + X n^T + c")
-    x = kron_solve(kron_sum(m, n) if op is None else op, -c.reshape(c.shape[:-2] + (a * b, 1)))
+    x = kron_solve(kron_sum(m, n), -c.reshape(c.shape[:-2] + (a * b, 1)))
     x = x.reshape(x.shape[:-2] + (a, b))
     check_residual(m, n, x, c)
     return x
@@ -121,15 +121,30 @@ def check_residual(m, n, x, c) -> None:
     """Raise ``SingularSylvesterError`` unless every item of the batch (a whole search's solves,
     say) has ``||m X + X n^T + c|| <= DEFAULT_TOL * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
     (Frobenius norms), a backward-error test (Higham, 2002, ch. 16) that a NaN or inf X fails
-    without a RuntimeWarning. A nearly singular operator fails it, and so does a well-conditioned
-    one whose LU solve is ruined by pivot growth: the refusal names the residual, not a cause."""
+    without a RuntimeWarning, and a finite one at any scale (1e300, say) passes: where the
+    ratio does not pass, it is taken again over each item's largest entries. A nearly
+    singular operator fails it, and so does a well-conditioned one whose LU solve is ruined by
+    pivot growth: the refusal names the residual, not a cause."""
     def fro(y):
         return np.sqrt(np.einsum("...ij,...ij->...", y, y))
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    def quotient(m, n, x, c):
         fro_m = fro(m)  # n is m in every lyap_solve and trace evaluation
-        ratio = fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
+        return fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
             1e-30, 0.5 * (fro_m + (fro_m if n is m else fro(n))) * fro(x) + fro(c))
+
+    def top(y):  # each item's max-abs entry, 1e-300 at least
+        return np.maximum(np.abs(y).max(axis=(-2, -1), keepdims=True), 1e-300)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = quotient(m, n, x, c)
+        if not (ratio <= DEFAULT_TOL).all():
+            # a square in these norms overflows from about 1e154 (inf / inf = NaN); over each
+            # item's max-abs entries, t of m and n, s of X and t s of c, the ratio is the same
+            # and finite, so it decides
+            t, s = np.maximum(top(m), top(n)), top(x)
+            mt = m / t
+            ratio = quotient(mt, mt if n is m else n / t, x / s, c / t / s)
     if not (ratio <= DEFAULT_TOL).all():  # NaN fails it too
         raise SingularSylvesterError(
             f"Sylvester relative residual {float(np.max(ratio)):.3e} above {DEFAULT_TOL:g}")

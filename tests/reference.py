@@ -3,15 +3,16 @@
 They restate the protocol agent by agent, the Laplacian spectrum relation,
 stage-by-stage RK4, the affine RK4 recurrence step by step, the worst-case
 disturbance, the disturbance Gramian, the stacked equation of the ellipsoid
-family, plain golden-section search in log beta and four small matrix
-helpers; the package itself needs none of them. :func:`family_solution`, the
-ellipsoid family at any beta, is the exception: it wraps the package's own
-modal solve, which the package itself runs only at beta*.
+family, plain golden-section search in log beta, four small matrix helpers
+and the gamma sweep as a loop of public one-gain calls; the package itself
+needs none of them. :func:`family_solution`, the ellipsoid family at any
+beta, is the exception: it wraps the package's own modal solve, which the
+package itself runs only at beta*.
 """
 
 import numpy as np
 
-from minellip import ellipsoid, matkit
+from minellip import check_input_bound, design_gain, ellipsoid, matkit, minimize_trace
 from minellip.errors import DimensionMismatchError
 from minellip.graph import build_laplacian
 from minellip.protocol import check_gain, closed_loop, disturbance_channel
@@ -164,8 +165,20 @@ def family_solution(plant, lp, k, beta) -> np.ndarray:
     modal, w, beta_max = ellipsoid._family_setup(plant, lp, k)
     if not 0.0 < beta < beta_max:
         raise ValueError(f"beta must lie in (0, {beta_max:.6g}), got {beta}")
-    op = matkit.kron_sum(modal.blocks, modal.blocks)
-    return ellipsoid._stacked(modal.U, ellipsoid._family_at(modal, w, beta, op))
+    blocks = modal.blocks[None]
+    y = ellipsoid._family_at(blocks, modal.c, w, np.array([beta]), matkit.kron_sum(blocks, blocks))
+    return ellipsoid._stacked(modal.U, y)[0]
+
+
+def gamma_sweep(plant, lp, grid) -> list:
+    """``(K, minimize_trace result, input verdict)`` for each gamma of ``grid``, by the public
+    one-gain calls: the per-gamma loop whose searches ``optimize_gain`` runs stacked."""
+    sweep = []
+    for gamma in grid:
+        k = design_gain(plant, lp, gamma)
+        result = minimize_trace(plant, lp, k)
+        sweep.append((k, result, check_input_bound(lp, k, result.P_star, plant.eta)))
+    return sweep
 
 
 def stacked_control(lp, k, e, u0) -> np.ndarray:

@@ -467,6 +467,29 @@ def test_trace_search_matches_scipy_and_golden_section(followers, paper_plant, p
     assert res.trace_value == pytest.approx(trace(beta_golden), rel=1e-12)
 
 
+def recorded_searches(monkeypatch, checks) -> list:
+    """Wrap the Brent search generator so that each search records ``(beta, value, checks
+    made while beta was evaluated)`` per evaluation, and the number of checks when it ends."""
+    search, searches = ellipsoid._log_brent, []
+
+    def recorded(*bracket_rtol_start):
+        inner, evaluations = search(*bracket_rtol_start), []
+        searches.append(evaluations)
+        beta = next(inner)
+        while True:
+            before = len(checks)
+            value = yield beta
+            evaluations.append((beta, value, len(checks) - before))
+            try:
+                beta = inner.send(value)
+            except StopIteration as done:
+                evaluations.append(len(checks))
+                return done.value
+
+    monkeypatch.setattr(ellipsoid, "_log_brent", recorded)
+    return searches
+
+
 @pytest.mark.parametrize("system", ["paper_example1", "seeded N=10"])
 def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, paper_plant,
                                                            paper_gain):
@@ -477,36 +500,31 @@ def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, 
         plant, k = paper_plant, paper_gain
         lp = build_laplacian(Topology(adjacency=seeded_adjacency(10, 7)))
     checks = counted_calls(monkeypatch, matkit, "check_residual")
-    search = ellipsoid._log_golden_min
-    evaluations, ends = [], []
-
-    def counted_search(f, *bracket_rtol_start):
-        def counted(beta):
-            before = len(checks)
-            value = f(beta)
-            evaluations.append((beta, value, len(checks) - before))
-            return value
-
-        result = search(counted, *bracket_rtol_start)
-        ends.append(len(checks))
-        return result
-
-    monkeypatch.setattr(ellipsoid, "_log_golden_min", counted_search)
+    searches = recorded_searches(monkeypatch, checks)
     res = minimize_trace(plant, lp, k)
-    (m, n, x, _), *later = checks  # before _diagonal_blocks below adds its own checks
+    (m, n, x, _), *later = checks  # before the reference solves below add their own checks
+    [[*evaluations, end]] = searches
     assert 0 < len(evaluations) <= 24
-    assert ends == [0] and all(made == 0 for *_, made in evaluations)
+    assert end == 0 and all(made == 0 for *_, made in evaluations)
     # exactly one residual check covers the search, right after it: on the shifted
     # blocks themselves at every evaluated beta, in order, not on the operator the
     # solves reused, and on the very solves whose traces the search compared, each
     # bit for bit the trace of the immediately checked diagonal-block solve
     modal, w, _ = ellipsoid._family_setup(plant, lp, k)
     op, blocks = matkit.kron_sum(modal.blocks, modal.blocks), modal.blocks
+    c2w = modal.c[:, None, None] ** 2 * w
+
+    def checked_diagonal_blocks(beta):  # the search's LU of op + beta I, checked at once
+        shifted, c = blocks + 0.5 * beta * np.eye(plant.n), c2w / beta
+        x = matkit.kron_solve(op + beta * np.eye(op.shape[-1]), -c.reshape(len(c), -1, 1))
+        matkit.check_residual(shifted, shifted, x.reshape(c.shape), c)
+        return x.reshape(c.shape)
+
     assert n is m and m.shape == (len(evaluations),) + blocks.shape == x.shape
     for (beta, value, _), m_j, x_j in zip(evaluations, m, x):
         np.testing.assert_array_equal(m_j, blocks + 0.5 * beta * np.eye(plant.n))
         assert np.einsum("kii->", x_j) == value == np.einsum(
-            "kii->", ellipsoid._diagonal_blocks(modal, w, beta, op))
+            "kii->", checked_diagonal_blocks(beta))
     # the checks that follow are X*'s own, at beta* alone
     for m, *_ in later:
         np.testing.assert_array_equal(m.reshape(blocks.shape),
@@ -516,7 +534,7 @@ def test_trace_search_evaluations_are_few_and_each_checked(system, monkeypatch, 
 def test_trace_search_refuses_a_perturbed_evaluation(monkeypatch, paper_plant, fig1_laplacian,
                                                      paper_gain):
     # one search solve off by a relative 1e-6 misses its equation; the check after
-    # the search refuses it, though none runs inside the search
+    # the search refuses it, though none runs inside the search, which ran to its end
     solve, calls = matkit.kron_solve, []
 
     def mutant(op, rhs):
@@ -525,9 +543,11 @@ def test_trace_search_refuses_a_perturbed_evaluation(monkeypatch, paper_plant, f
         return x * (1.0 + 1e-6) if len(calls) == 3 else x
 
     monkeypatch.setattr(matkit, "kron_solve", mutant)
+    searches = recorded_searches(monkeypatch, [])
     with pytest.raises(SingularSylvesterError, match="residual"):
         minimize_trace(paper_plant, fig1_laplacian, paper_gain)
-    assert len(calls) > 3  # the search went on past the bad solve
+    [[*evaluations, _]] = searches
+    assert len(calls) == len(evaluations) > 3  # every solve was the search's, past the bad one
 
 
 def counted_calls(monkeypatch, module, name) -> list:
@@ -563,10 +583,20 @@ def test_find_beta_builds_the_closed_loop_once(monkeypatch, paper_plant, fig1_la
 def test_widening_reuses_the_trace_search_operator(monkeypatch, paper_plant, fig1_laplacian,
                                                    paper_gain):
     ops = counted_calls(monkeypatch, matkit, "kron_sum")
-    solves = counted_calls(monkeypatch, ellipsoid, "_diagonal_blocks")
-    minimize_trace(paper_plant, fig1_laplacian, paper_gain)
-    assert len(solves[-1]) == 5 and solves[-1][4] > 0.0  # the widening fired, with its reg
-    assert sum(m.ndim == 3 for m, _ in ops) == 1  # kron_sum(A_i, A_i), once per call
+    solves = counted_calls(monkeypatch, matkit, "kron_solve")
+    res = minimize_trace(paper_plant, fig1_laplacian, paper_gain)
+    # kron_sum(A_i, A_i) over the one gain, once per call, then the operator of X*'s blocks
+    assert [m.ndim for m, _ in ops] == [4, 5]
+    # the widening fired: the last LU re-solves the diagonal blocks by the search's operator at
+    # beta*, with c_i^2 W + reg I for c_i^2 W
+    modal, w, _ = ellipsoid._family_setup(paper_plant, fig1_laplacian, paper_gain)
+    widened_op, widened_rhs = solves[-1]
+    np.testing.assert_array_equal(widened_op, matkit.kron_sum(modal.blocks, modal.blocks)[None]
+                                  + res.beta_star * np.eye(4))
+    reg = -widened_rhs.reshape(3, 2, 2) * res.beta_star - modal.c[:, None, None] ** 2 * w
+    np.testing.assert_allclose(reg, np.broadcast_to(widening(paper_plant, fig1_laplacian)
+                                                    * np.eye(2), reg.shape),
+                               rtol=1e-6, atol=1e-12 * np.abs(w).max())
 
 
 def test_minimizer_is_locally_optimal(paper_plant, fig1_laplacian, paper_gain,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,24 @@ from minellip import (
     closed_loop,
     consensus_feasible,
     design_gain,
+    ellipsoid,
+    gainsynth,
+    matkit,
     optimize_gain,
+    scenario,
     spectrum,
 )
 from minellip.errors import (
     NoFeasibleDesignError,
     NoSpanningTreeError,
+    NotHurwitzError,
     NotStabilizableError,
+    SingularSylvesterError,
 )
+from minellip.gainsynth import DEFAULT_GAMMA_GRID
 from minellip.matkit import are_solve
-from reference import eig_sym
+from reference import eig_sym, gamma_sweep
+from test_ellipsoid import counted_calls, recorded_searches, seeded_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +179,107 @@ def test_optimize_rejects_disconnected_through_design_gain(paper_plant):
                                 Q=np.eye(2), eta=1.0)
     with pytest.raises(NotStabilizableError):
         optimize_gain(unstabilizable, disconnected_lp(), gamma_grid=[1.0])
+
+
+def sweep_system(system, paper_plant):
+    """``(plant, lp, grid)``: the paper example, a scalar plant and seeded N = 10 and N = 20
+    graphs, on the last three of which the input bound passes some gammas and fails others."""
+    if system == "paper_example1":
+        cfg = scenario.load_bundled(system)
+        return cfg.plant, build_laplacian(cfg.topology), DEFAULT_GAMMA_GRID
+    if system == "scalar":
+        plant = PlantModel(A=[[-1.0]], B=[[1.0]], E=[[1.0]], Q=[[1.0]], eta=0.3)
+        lp = build_laplacian(Topology(adjacency=[[0.0, 0.0], [1.0, 0.0]]))
+        return plant, lp, [4.0, 0.5, 2.0, 1.0, 8.0]
+    # the peak inputs span 0.097-0.24 over the grid at N = 10 and 0.14-0.32 at N = 20
+    plant = PlantModel(A=paper_plant.A, B=paper_plant.B, E=paper_plant.E, Q=paper_plant.Q,
+                       eta=0.15)
+    n_followers = int(system.removeprefix("seeded N="))
+    return plant, build_laplacian(Topology(adjacency=seeded_adjacency(n_followers, 7))), \
+        DEFAULT_GAMMA_GRID
+
+
+@pytest.mark.parametrize("system", ["paper_example1", "scalar", "seeded N=10", "seeded N=20"])
+def test_stacked_sweep_is_the_per_gamma_loop_bit_for_bit(system, paper_plant):
+    # the lockstep searches, the stacked X*/P* assembly (two chunks at N = 20) and the stacked
+    # input test give each gamma exactly what public one-gain calls give it
+    plant, lp, grid = sweep_system(system, paper_plant)
+    reference = gamma_sweep(plant, lp, grid)
+    gains = [k for k, _, _ in reference]
+    verdicts = [r is not None for r in ellipsoid._minimize_traces(plant, lp, gains, plant.eta)]
+    assert verdicts == [ok for *_, ok in reference]
+    assert len(set(verdicts)) == (1 if system == "paper_example1" else 2)
+    for (_, one, _), res in zip(reference, ellipsoid._minimize_traces(plant, lp, gains)):
+        assert (res.beta_star, res.trace_value, res.beta_max) == (
+            one.beta_star, one.trace_value, one.beta_max)
+        np.testing.assert_array_equal(res.X_star, one.X_star)
+        np.testing.assert_array_equal(res.P_star, one.P_star)
+    best = optimize_gain(plant, lp, gamma_grid=grid)
+    trace, gamma = min((one.trace_value, gamma) for gamma, (_, one, ok)
+                       in zip(grid, reference) if ok)
+    assert (best.minimization.trace_value, best.gamma) == (trace, gamma)
+    np.testing.assert_array_equal(best.minimization.P_star,
+                                  reference[list(grid).index(gamma)][1].P_star)
+
+
+def test_sweep_searches_make_one_lu_per_lockstep_round(monkeypatch, paper_plant):
+    # every round solves the live searches in one kron_solve, as many rounds as the longest
+    # search has evaluations; one residual check then covers every search's solves, and
+    # design_gain's Riccati solve still runs once per gamma
+    lp = build_laplacian(Topology(adjacency=seeded_adjacency(10, 7)))
+    events = []
+    solve, checks = matkit.kron_solve, counted_calls(monkeypatch, matkit, "check_residual")
+    check = matkit.check_residual
+    monkeypatch.setattr(matkit, "kron_solve", lambda *a: events.append("LU") or solve(*a))
+    monkeypatch.setattr(matkit, "check_residual",
+                        lambda *a: events.append("check") or check(*a))
+    riccati = matkit.are_solve
+    monkeypatch.setattr(matkit, "are_solve",
+                        lambda *a: (riccati(*a), events.append("Riccati"))[0])
+    searches = recorded_searches(monkeypatch, checks)
+    optimize_gain(paper_plant, lp)
+    assert events.count("Riccati") == len(searches) == len(DEFAULT_GAMMA_GRID)
+    sweep = events[len(events) - events[::-1].index("Riccati"):]  # after the last design
+    rounds = max(len(evaluations) - 1 for evaluations in searches)
+    assert sweep[:rounds + 1] == ["LU"] * rounds + ["check"]
+    (m, n, x, _) = checks[len(checks) - sweep.count("check")]
+    assert n is m and len(x) == sum(len(evaluations) - 1 for evaluations in searches)
+
+
+def test_sweep_refuses_a_destabilizing_gain_as_one_search_does(monkeypatch, paper_plant,
+                                                               fig1_laplacian):
+    # a gain that leaves the closed loop unstable at one gamma is refused by name, as the
+    # per-gamma loop refused it
+    design, calls = gainsynth.design_gain, []
+
+    def destabilizing(*args):
+        calls.append(args)
+        k = design(*args)
+        return -k if len(calls) == 5 else k
+
+    monkeypatch.setattr(gainsynth, "design_gain", destabilizing)
+    k = -design(paper_plant, fig1_laplacian, DEFAULT_GAMMA_GRID[4])
+    abscissa = spectrum(closed_loop(paper_plant, fig1_laplacian, k)).spectral_abscissa
+    with pytest.raises(NotHurwitzError, match=re.escape(
+            f"closed loop has spectral abscissa {abscissa:.3e} >= 0")):
+        optimize_gain(paper_plant, fig1_laplacian)
+
+
+def test_sweep_refuses_one_perturbed_solve_after_the_searches(monkeypatch, paper_plant,
+                                                               fig1_laplacian):
+    # one gain's solve in the third lockstep round off by a relative 1e-6: the searches run on
+    # to their ends, and the check after them refuses it before any X* is assembled
+    solve, calls, searches = matkit.kron_solve, [], recorded_searches(monkeypatch, [])
+
+    def mutant(op, rhs):  # counts the LUs from the first search on, after every design
+        calls.extend([op] if searches else [])
+        x = solve(op, rhs)
+        if len(calls) == 3:
+            x[5] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(matkit, "kron_solve", mutant)
+    with pytest.raises(SingularSylvesterError, match="residual"):
+        optimize_gain(paper_plant, fig1_laplacian)
+    assert len(calls[2]) == len(DEFAULT_GAMMA_GRID)  # every search was live in that round
+    assert len(calls) == max(len(evaluations) - 1 for evaluations in searches) > 3

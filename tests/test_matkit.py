@@ -221,6 +221,23 @@ def test_non_finite_solution_is_refused_without_warning(solve):
             solve()
 
 
+def test_residual_check_holds_at_any_scale():
+    # the squares in the norms of a correct solve at 1e154 and beyond overflowed to inf / inf
+    # = NaN, which refused it; over each item's max-abs entries the ratio is the same and
+    # finite, so a solve off by a relative 1e-6 is still refused at 1e200
+    m, c = np.array([[-1.0, 0.3], [0.1, -2.0]]), np.array([[1.0, 0.2], [0.2, 3.0]])
+    x = lyap_solve(m, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in 10.0 ** np.arange(150, 301, 10):
+            np.testing.assert_allclose(lyap_solve(m, scale * c), scale * x, rtol=1e-12)
+            np.testing.assert_allclose(sylvester_solve(scale * m, scale * m, scale * c), x,
+                                       rtol=1e-12)
+        x = lyap_solve(m, 1e200 * c)
+        with pytest.raises(SingularSylvesterError, match=r"residual [0-9.]+e-0[67] above"):
+            check_residual(m, m, x * (1.0 + 1e-6), 1e200 * c)
+
+
 # --- are_solve --------------------------------------------------------
 
 def test_are_scalar_unit():
