@@ -289,7 +289,7 @@ def cmd_report(cfg, args, out: Path) -> int:
     lines = [f"summary of {out}"]
     for path in sorted(out.glob("*.yaml")):
         try:
-            data = yaml.safe_load(path.read_text())
+            data = yaml.load(path.read_text(), Loader=scenario.YAML_LOADER)
         except (yaml.YAMLError, UnicodeDecodeError):  # not a report this tool wrote
             continue
         if not isinstance(data, dict):

@@ -318,7 +318,7 @@ class WorstCaseLaw:
     """:func:`worst_case_law` whitened by ``Q = L L^T``: ``omega* = unwhiten u``, ``unwhiten =
     L^-T``, ``u = z / ||z||`` for the readout ``z = Z e``, ``Z = L^-1 (1_N (x) E)^T P`` over its
     max-abs entry (omega* has degree 0 in P and e), so ``omega*^T Q omega* = u^T u``. ``unit``
-    is the scaled form, which the fused step calls only off its fast path ``Z e / ||Z e||``."""
+    is the scaled form, which the fused step calls only where its ``z.z > floor^2 e.e`` fails."""
 
     Z: np.ndarray
     unwhiten: np.ndarray

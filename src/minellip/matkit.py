@@ -121,30 +121,33 @@ def check_residual(m, n, x, c) -> None:
     """Raise ``SingularSylvesterError`` unless every item of the batch (a whole search's solves,
     say) has ``||m X + X n^T + c|| <= DEFAULT_TOL * ((||m|| + ||n||) / 2 ||X|| + ||c||)``
     (Frobenius norms), a backward-error test (Higham, 2002, ch. 16) that a NaN or inf X fails
-    without a RuntimeWarning, and a finite one at any scale (1e300, say) passes: where the
-    ratio does not pass, it is taken again over each item's largest entries. A nearly
-    singular operator fails it, and so does a well-conditioned one whose LU solve is ruined by
-    pivot growth: the refusal names the residual, not a cause."""
+    without a RuntimeWarning, and a finite one at any scale (1e-300 or 1e300) passes: an item
+    whose ratio fails, or whose denominator is outside [1e-140, inf), is taken again over its
+    largest entries. A nearly singular operator fails it, and so does a well-conditioned one
+    whose LU solve is ruined by pivot growth: the refusal names the residual, not a cause."""
     def fro(y):
         return np.sqrt(np.einsum("...ij,...ij->...", y, y))
 
-    def quotient(m, n, x, c):
+    def parts(m, n, x, c):  # the residual's norm and the ratio's denominator
         fro_m = fro(m)  # n is m in every lyap_solve and trace evaluation
-        return fro(m @ x + x @ np.swapaxes(n, -1, -2) + c) / np.maximum(
-            1e-30, 0.5 * (fro_m + (fro_m if n is m else fro(n))) * fro(x) + fro(c))
+        return fro(m @ x + x @ np.swapaxes(n, -1, -2) + c), 0.5 * (
+            fro_m + (fro_m if n is m else fro(n))) * fro(x) + fro(c)
 
     def top(y):  # each item's max-abs entry, 1e-300 at least
         return np.maximum(np.abs(y).max(axis=(-2, -1), keepdims=True), 1e-300)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = quotient(m, n, x, c)
-        if not (ratio <= DEFAULT_TOL).all():
-            # a square in these norms overflows from about 1e154 (inf / inf = NaN); over each
-            # item's max-abs entries, t of m and n, s of X and t s of c, the ratio is the same
-            # and finite, so it decides
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, d = parts(m, n, x, c)
+        ratio = np.atleast_1d(r / d)
+        # squares overflow from about 1e154 (d = inf) and underflow below 1e-154, so the ratio
+        # passes only over d in [1e-140, inf); over the other items' max-abs entries (t of m, n;
+        # s of X; t s of c) it is the same and finite, and a zero d (X = c = 0) passes: r = 0
+        bad = ~((ratio <= DEFAULT_TOL) & (d >= 1e-140) & (d < np.inf))
+        if bad.any():
+            m, n, x, c = (np.broadcast_to(y, bad.shape + y.shape[-2:])[bad] for y in (m, n, x, c))
             t, s = np.maximum(top(m), top(n)), top(x)
-            mt = m / t
-            ratio = quotient(mt, mt if n is m else n / t, x / s, c / t / s)
+            r, d = parts(m / t, n / t, x / s, c / t / s)
+            ratio[bad] = r / np.maximum(d, 1e-300)
     if not (ratio <= DEFAULT_TOL).all():  # NaN fails it too
         raise SingularSylvesterError(
             f"Sylvester relative residual {float(np.max(ratio)):.3e} above {DEFAULT_TOL:g}")

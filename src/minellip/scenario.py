@@ -22,6 +22,7 @@ from .matkit import as_matrix, check_pd
 from .protocol import PlantModel, check_gain
 
 _DISTURBANCE_KINDS = ("none", "sinusoid", "worst_case")
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, where PyYAML has it
 
 
 @dataclass(eq=False)
@@ -173,7 +174,7 @@ def load(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
     return from_dict(data)

@@ -16,9 +16,10 @@ current error, held across its stages (a piecewise-constant realization that
 keeps the integrated vector field smooth within each step) and fused into the
 step, one product per step on rows ``[e, z]``: the law's whitened readout
 ``z = Z e`` becomes the sample u in place, and ``S = [[Phi, G L^-T], [Z Phi,
-Z G L^-T]]`` maps ``[e, u]`` to the next ``[e, z]``. Custom samplers are drawn
-at each stage. Their samples, and worst-case ones off the fast path z / ||z||,
-are checked against the Q bound once, online, before use.
+Z G L^-T]]`` maps ``[e, u]`` to the next ``[e, z]``; its floor test ``z.z > floor^2 e.e``
+reads a bound on e.e, grown by ``||[Phi, G L^-T]||_2^2`` a step, and forms e.e only where
+that fails: the exact test's branch. Custom samplers are drawn at each stage. Their samples,
+and worst-case ones off the fast path z / ||z||, are checked against the Q bound before use.
 """
 
 from __future__ import annotations
@@ -229,19 +230,24 @@ def simulate(
         s = np.block([[phi, gu], [law.Z @ phi, law.Z @ gu]])
         rows = np.empty((n_steps + 2, nn + p_dim))
         held, floor2 = np.eye(p_dim)[0], law.floor**2  # u_{-1}: omega = e_1 / sqrt(Q_11)
+        top = float(np.linalg.norm(s[:nn], 2)) if np.isfinite(s).all() else math.nan
+        ee, growth = math.inf, (1.0 + 1e-9) * top * top  # ||[Phi, G L^-T]||_2^2, 1e-9 >> nN eps
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite z: the law's branch
             rows[0] = np.append(e0, law.Z.dot(e0))
-            for t, e, z, row, row_next in zip(times, rows[:, :nn], rows[:, nn:], rows, rows[1:]):
+            for z, row, row_next in zip(rows[:, nn:], rows, rows[1:]):
                 zz = z.dot(z)
-                if _TINY <= zz < math.inf and zz > floor2 * e.dot(e):
+                if _TINY <= zz < math.inf and (
+                        zz > floor2 * ee or zz > floor2 * (ee := float(row[:nn].dot(row[:nn])))):
                     z /= math.sqrt(zz)  # u^T u = 1 to rounding: the bound holds
                 else:  # held, scaled or NaN: the law's own rule, checked before use
-                    z[:] = law.unit(e, held)
+                    z[:] = law.unit(e := row[:nn], held)
                     if not z.dot(z) <= 1.0 + BOUND_SLACK:
+                        t = times[(row.ctypes.data - rows.ctypes.data) // rows.strides[0]]
                         raise DisturbanceBoundViolatedError(
                             f"disturbance sample at t={t:.6g} violates the Q bound"
                             + ("" if np.isfinite(e).all() else "; the error state is not finite"))
                 s.dot(row, out=row_next)
+                ee = growth * (ee + 1.0 + BOUND_SLACK)  # >= the computed e.e, as u.u <= 1 + slack
                 held = z
         errors = rows[:-1, :nn]  # a view: the rows hold the errors once
         samples = rows[:-1, nn:] @ law.unwhiten.T

@@ -7,7 +7,9 @@ family, plain golden-section search in log beta, four small matrix helpers
 and the gamma sweep as a loop of public one-gain calls; the package itself
 needs none of them. :func:`family_solution`, the ellipsoid family at any
 beta, is the exception: it wraps the package's own modal solve, which the
-package itself runs only at beta*.
+package itself runs only at beta*. So is :func:`fused_worst_case_rows`, the fused
+worst-case step with its floor test on the exact ``e.e`` at every step: it runs the
+package's own step map and law, so that the simulation can be compared to it bit for bit.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from minellip import check_input_bound, design_gain, ellipsoid, matkit, minimize
 from minellip.errors import DimensionMismatchError
 from minellip.graph import build_laplacian
 from minellip.protocol import check_gain, closed_loop, disturbance_channel
-from minellip.sim import DisturbanceSpec
+from minellip.sim import DisturbanceSpec, _rk4_step_map
 
 
 def kron(a, b) -> np.ndarray:
@@ -258,6 +260,37 @@ def rk4_stage_loop(plant, topology, k, u0, x0, dist, t_final, dt):
         states[step + 1] = s
     samples[n_steps] = draw(n_steps * dt, s[n:])
     return states[:, :n], states[:, n:], samples
+
+
+def fused_worst_case_rows(plant, topology, k, x0, law, t_final, dt, P):
+    """The fused worst-case step with the law's floor test on the exact ``e.e`` at every step:
+    rows ``[e_k, z_k]``, ``z_k`` made the sample u in place, by ``z / ||z||`` while ``z.z`` is
+    a normal double above ``floor^2 e.e`` and else by ``law.unit`` (checked against the bound),
+    then ``S [e_k; u_k]`` is row k+1, S formed as ``simulate`` forms it. Returns the errors,
+    the samples and ``V = e^T P e``, to be compared bit for bit."""
+    k = check_gain(plant, k)
+    n_followers, p_dim = topology.follower_count, plant.p
+    nn = n_followers * plant.n
+    phi, g = _rk4_step_map(closed_loop(plant, build_laplacian(topology), k),
+                           disturbance_channel(plant, n_followers), dt)
+    gu = g.reshape(-1, 3, p_dim).sum(axis=1) @ law.unwhiten
+    s = np.block([[phi, gu], [law.Z @ phi, law.Z @ gu]])
+    rows = np.empty((int(np.floor(t_final / dt + 1e-9)) + 2, nn + p_dim))
+    x0 = np.asarray(x0, dtype=float).reshape(n_followers + 1, plant.n)
+    e0 = (x0[1:] - x0[0]).ravel()
+    rows[0] = np.append(e0, law.Z.dot(e0))
+    held = np.eye(p_dim)[0]
+    for e, z, row, row_next in zip(rows[:, :nn], rows[:, nn:], rows, rows[1:]):
+        zz = z.dot(z)
+        if np.finfo(float).tiny <= zz < np.inf and zz > law.floor**2 * e.dot(e):
+            z /= np.sqrt(zz)
+        else:
+            z[:] = law.unit(e, held)
+            assert z.dot(z) <= 1.0 + 1e-9
+        s.dot(row, out=row_next)
+        held = z
+    errors = rows[:-1, :nn]
+    return errors, rows[:-1, nn:] @ law.unwhiten.T, np.einsum("ti,ti->t", errors @ P, errors)
 
 
 def affine_loop(phi, e0, f) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import signal
@@ -40,6 +41,57 @@ def test_bundled_scenarios_parse():
     for name in ("paper_example1", "paper_example2", "paper_example3", "scalar_demo"):
         cfg = scenario.load_bundled(name)
         assert cfg.output.file_prefix == name
+
+
+def plain(obj):
+    """A config as nested dicts and lists, arrays by dtype, shape and bytes, so == compares all."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return [plain(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_loader(request, monkeypatch):
+    """Each loader ``scenario.load`` and ``report`` may read with, set as the module's choice."""
+    if request.param == "libyaml" and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    loader = yaml.CSafeLoader if request.param == "libyaml" else yaml.SafeLoader
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    return loader
+
+
+def test_libyaml_loader_is_chosen_where_pyyaml_has_it():
+    assert scenario.YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    # a PyYAML built without libyaml has no CSafeLoader: the pure-Python loader is chosen
+    probe = ("import yaml\ndel yaml.CSafeLoader\nfrom minellip import scenario\n"
+             "assert scenario.YAML_LOADER is yaml.SafeLoader\n"
+             "assert scenario.load_bundled('paper_example1').output.file_prefix == 'paper_example1'\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_bundled_scenarios_load_equal_through_both_loaders(monkeypatch):
+    for name in ("paper_example1", "paper_example2", "paper_example3", "scalar_demo"):
+        configs = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+            configs.append(plain(scenario.load_bundled(name)))
+        assert configs[0] == configs[1], name
+
+
+def test_malformed_yaml_exits_2_through_each_loader(yaml_loader, tmp_path, outdir, capsys):
+    path = tmp_path / "malformed.yaml"
+    path.write_text("plant: {A: [[0.0, 1.0], [0.0, 0.0]\n")  # the flow mapping is never closed
+    with pytest.raises(ConfigError, match="cannot parse scenario file"):
+        scenario.load(path)
+    assert run("verify", "--config", path, "--out", outdir) == 2
+    assert "config error: cannot parse" in capsys.readouterr().err
 
 
 def test_verify_paper_scenario_passes(outdir):
@@ -267,6 +319,15 @@ def test_report_skips_yaml_that_is_not_a_mapping(outdir, capsys):
     (outdir / "list.yaml").write_text("- 1\n- 2\n")
     assert run("report", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir) == 0
     assert capsys.readouterr().out.endswith("(no prior outputs found)\n")
+
+
+def test_report_skips_malformed_yaml_through_each_loader(yaml_loader, outdir):
+    run("minimize", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir)
+    (outdir / "malformed.yaml").write_text("trace: [1.0\n")
+    assert run("report", "--config", scenario.bundled_path("scalar_demo"), "--out", outdir) == 0
+    summary = (outdir / "summary.txt").read_text()
+    assert "scalar_demo_minimize.yaml: beta_star=" in summary
+    assert "malformed.yaml" not in summary
 
 
 def test_commands_run_without_test_only_packages(tmp_path):

@@ -238,6 +238,53 @@ def test_residual_check_holds_at_any_scale():
             check_residual(m, m, x * (1.0 + 1e-6), 1e200 * c)
 
 
+@pytest.mark.parametrize("scale", [1e-70, 1e-170])
+def test_residual_check_refuses_a_small_wrong_solve(scale):
+    # m = -1, c = scale: X = scale / 2, and 0.7 scale is 40 % off. Over an absolute floor on
+    # the ratio's denominator it passed; at 1e-170 the squares underflow as well (0 / 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSylvesterError, match=r"residual 2\.353e-01 above"):
+            check_residual(np.array([[-1.0]]), np.array([[-1.0]]), np.array([[0.7 * scale]]),
+                           np.array([[scale]]))
+
+
+def test_residual_check_scale_free_both_ways():
+    # X = s x for c = s c, and X = x for m = s m, c = s c: the true solve passes at every
+    # decade from 1e-300 to 1e300, and the solve times 1.4 or 1 + 1e-6 is refused at each.
+    # Between them lie the scales where the plain ratio passed such a solve: from about 1e154
+    # its denominator alone overflows (r / inf = 0), and below about 1e-157 its residual alone
+    # underflows
+    m, c = np.array([[-1.0, 0.3], [0.1, -2.0]]), np.array([[1.0, 0.2], [0.2, 3.0]])
+    x = lyap_solve(m, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in 10.0 ** np.arange(-300, 301):
+            for mm, xx, cc in ((m, scale * x, scale * c), (scale * m, x, scale * c)):
+                check_residual(mm, mm, xx, cc)
+                for wrong in (1.4, 1.0 + 1e-6):
+                    with pytest.raises(SingularSylvesterError):
+                        check_residual(mm, mm, wrong * xx, cc)
+
+
+def test_residual_check_passes_exactly_zero_items():
+    # the paper graph's modal c has an exact 0: its searches solve items with X = c = 0,
+    # whose residual is exactly 0 over a zero denominator. Here m and n broadcast over the
+    # batch as in a modal solve, and a wrong item beside the zero one is still refused
+    rng = np.random.default_rng(3)
+    m = np.stack([random_hurwitz(rng, 2) for _ in range(2)])[:, None]
+    n = np.stack([random_hurwitz(rng, 2) for _ in range(3)])[None]
+    c = rng.normal(size=(2, 3, 2, 2))
+    c[0, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = sylvester_solve(m, n, c)
+        assert not x[0, 1].any()
+        x[1, 2] *= 1.4
+        with pytest.raises(SingularSylvesterError):
+            check_residual(m, n, x, c)
+
+
 # --- are_solve --------------------------------------------------------
 
 def test_are_scalar_unit():

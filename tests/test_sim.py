@@ -21,7 +21,8 @@ from minellip.errors import (
     MissingEllipsoidError,
     UnstableStepError,
 )
-from minellip import sim
+from minellip import scenario, sim
+from minellip.ellipsoid import WorstCaseLaw
 from minellip.protocol import closed_loop, disturbance_channel
 from minellip.sim import Trajectory, _affine_orbit, _rk4_step_map
 
@@ -216,17 +217,12 @@ def test_worst_case_from_zero_error_starts_on_fallback(paper_plant, fig1_topolog
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", ["paper", "N10", "fallback"])
-def test_fused_worst_case_matches_independent_oracle(case, paper_plant, fig1_topology,
-                                                     paper_gain, paper_x0, paper_minimization):
-    from reference import rk4_stage_loop, worst_case_reference
+def worst_case_run(case, plant, topology, k, x0, P):
+    """A worst-case run's plant, topology, gain, start, P and horizon: the paper's system over
+    20 s, a seeded N = 10 system whose Q is not diagonal over 5 s, or the paper's with P = I
+    from a start whose follower errors cancel, so that the first sample is held, over 2 s."""
     from test_graph import random_connected_topology
 
-    # the fused step against stage-by-stage RK4 driven by the closed form of
-    # omega*, which shares no code with the package's whitened law; the N = 10
-    # plant's Q is not diagonal, so a transposed L^-1 or L^-T shows
-    plant, topology, k, x0 = paper_plant, fig1_topology, paper_gain, paper_x0
-    P, t_final = paper_minimization.P_star, 20.0
     if case == "N10":
         rng = np.random.default_rng(10)
         plant = PlantModel(A=plant.A, B=plant.B, E=plant.E, Q=[[800.0, 300.0], [300.0, 4000.0]],
@@ -234,10 +230,24 @@ def test_fused_worst_case_matches_independent_oracle(case, paper_plant, fig1_top
         topology = random_connected_topology(rng, 10)
         k = design_gain(plant, build_laplacian(topology), gamma=10.0)
         x0 = rng.normal(size=(11, 2))
-        P, t_final = minimize_trace(plant, build_laplacian(topology), k).P_star, 5.0
-    elif case == "fallback":  # P = I: the follower errors cancel, so the first sample is held
+        return plant, topology, k, x0, minimize_trace(plant, build_laplacian(topology),
+                                                      k).P_star, 5.0
+    if case == "fallback":
         x0 = np.array([[0.5, -0.25], [1.5, 1.75], [-0.5, -2.25], [0.5, -0.25]])
-        P, t_final = np.eye(6), 2.0
+        return plant, topology, k, x0, np.eye(6), 2.0
+    return plant, topology, k, x0, P, 20.0
+
+
+@pytest.mark.parametrize("case", ["paper", "N10", "fallback"])
+def test_fused_worst_case_matches_independent_oracle(case, paper_plant, fig1_topology,
+                                                     paper_gain, paper_x0, paper_minimization):
+    from reference import rk4_stage_loop, worst_case_reference
+
+    # the fused step against stage-by-stage RK4 driven by the closed form of
+    # omega*, which shares no code with the package's whitened law; the N = 10
+    # plant's Q is not diagonal, so a transposed L^-1 or L^-T shows
+    plant, topology, k, x0, P, t_final = worst_case_run(
+        case, paper_plant, fig1_topology, paper_gain, paper_x0, paper_minimization.P_star)
     traj = simulate(plant, topology, k, [0.2], x0, make_disturbance("worst_case", plant, P=P),
                     t_final, 1e-3)
     leader, errors, samples = rk4_stage_loop(plant, topology, k, [0.2], x0,
@@ -247,6 +257,49 @@ def test_fused_worst_case_matches_independent_oracle(case, paper_plant, fig1_top
     for got, want in ((traj.errors, errors), (traj.leader_states, leader),
                       (traj.disturbances, samples)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["paper_example3", "N10", "fallback", "raised_floor"])
+def test_fused_worst_case_is_bitwise_the_exact_floor_test(case, paper_plant, fig1_topology,
+                                                         paper_gain, paper_x0,
+                                                         paper_minimization):
+    from reference import fused_worst_case_rows
+
+    # the loop forms e.e only where z.z fails the floor test on its bound of e.e; rounding is
+    # monotone, so every step takes the branch that the exact e.e takes, and the errors,
+    # samples and V are the same doubles
+    plant, topology, k, x0, P, t_final = worst_case_run(
+        case, paper_plant, fig1_topology, paper_gain, paper_x0, paper_minimization.P_star)
+    if case == "paper_example3":
+        cfg = scenario.load_bundled("paper_example3")
+        np.testing.assert_array_equal(cfg.gain, paper_gain)
+        x0, t_final = cfg.simulation.x0, cfg.simulation.t_final
+    elif case == "raised_floor":
+        # a damped oscillator, ||Phi|| < 1, whose Q lets e reach about 30 from e0 = 0: early
+        # on the sample's share u.u of the bound grows e.e faster than Phi can, later e.e
+        # moves by more than 1 a step. The floor is raised to the run's median ||z|| / ||e||,
+        # so the exact test fails at many steps mid-run, and a bound without the + 1 +
+        # BOUND_SLACK term, or without the growth factor, passes the fast test at some step
+        # that the exact test refuses
+        plant = PlantModel(A=[[-0.3, 2.0], [-2.0, -0.3]], B=plant.B, E=plant.E,
+                           Q=plant.Q * 1e-6, eta=plant.eta)
+        k, x0 = np.array([[0.0, 1.0]]), np.zeros((4, 2))
+        P = minimize_trace(plant, build_laplacian(topology), k).P_star
+    dist = make_disturbance("worst_case", plant, P=P)
+    if case == "raised_floor":
+        errors = simulate(plant, topology, k, [0.0], x0, dist, t_final, 1e-3).errors[1:]
+        floor = np.median(np.linalg.norm(errors @ dist.law.Z.T, axis=1)
+                          / np.linalg.norm(errors, axis=1))
+        dist = DisturbanceSpec("worst_case", None, WorstCaseLaw(dist.law.Z, dist.law.unwhiten,
+                                                                float(floor)))
+    traj = simulate(plant, topology, k, [0.2], x0, dist, t_final, 1e-3, P=P)
+    errors, samples, v = fused_worst_case_rows(plant, topology, k, x0, dist.law, t_final, 1e-3, P)
+    for got, want in ((traj.errors, errors), (traj.disturbances, samples), (traj.V, v)):
+        np.testing.assert_array_equal(got, want)
+    if case == "raised_floor":  # a sample is held where the exact test failed
+        held = (samples[1:] == samples[:-1]).all(axis=1)
+        assert held.sum() >= 0.2 * len(held) and held[len(held) // 2:].sum() >= 0.1 * len(held)
+        assert (held[1:] != held[:-1]).sum() >= 20  # in and out of the held sample
 
 
 def test_worst_case_with_nan_start_is_refused_at_t0(paper_plant, fig1_topology, paper_gain,
