@@ -1,13 +1,13 @@
 """Dense real-matrix kernels shared by the whole toolkit.
 
 The solvers favour simple, verifiable algorithms on small dense matrices
-(order n, not nN): one Kronecker kernel, :func:`sylvester_solve`, solves a
-batch of small Sylvester equations in one LU call and serves the n x n
-modal blocks of the ellipsoid analysis; :func:`lyap_solve` is its one-item
-Lyapunov form. Their operator comes from :func:`kron_sum`; a caller that
-shifts m and n by s I builds it once and adds ``2 s I``. The Riccati solver
-seeds from the stable invariant subspace of the Hamiltonian and polishes
-with Newton steps of those.
+(order n, not nN), through one Kronecker path: :func:`kron_sum` builds the
+operator of a batch of small Sylvester equations, :func:`kron_solve` solves
+them in one LU call and :func:`check_residual` judges them. The modal blocks
+of the ellipsoid analysis are such a batch, and :func:`lyap_solve` is one
+item; a caller that shifts m and n by s I builds the operator once and adds
+``2 s I``. The Riccati solver scales its data by powers of two, seeds from
+the Hamiltonian's stable invariant subspace and polishes with Newton steps.
 """
 
 from __future__ import annotations
@@ -88,29 +88,9 @@ def kron_sum(m, n) -> np.ndarray:
     return op.reshape(op.shape[:-4] + (a * b, a * b))
 
 
-def sylvester_solve(m, n, c) -> np.ndarray:
-    """Solve ``m_k X_k + X_k n_k^T + c_k = 0`` for every item k of a batch:
-    m is (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast.
-
-    Each item is vectorized row by row, ``kron_sum(m, n) vec(X) = -vec(c)``, and the
-    batch goes to one LU call, :func:`kron_solve`. The operator is never diagonalized,
-    so defective m or n cost no accuracy. Raises ``SingularSylvesterError`` when an
-    eigenvalue of ``m_k`` plus one of ``n_k`` is zero or an item misses
-    :func:`check_residual`.
-    """
-    m, n, c = (np.asarray(x, dtype=float) for x in (m, n, c))
-    a, b = m.shape[-1], n.shape[-1]
-    if m.shape[-2:] != (a, a) or n.shape[-2:] != (b, b) or c.shape[-2:] != (a, b):
-        raise ValueError(f"shapes {m.shape}, {n.shape}, {c.shape} do not form m X + X n^T + c")
-    x = kron_solve(kron_sum(m, n), -c.reshape(c.shape[:-2] + (a * b, 1)))
-    x = x.reshape(x.shape[:-2] + (a, b))
-    check_residual(m, n, x, c)
-    return x
-
-
 def kron_solve(op, rhs) -> np.ndarray:
-    """:func:`sylvester_solve`'s LU step, unchecked: ``op^-1 rhs``, ``SingularSylvesterError``
-    where an operator is singular. A caller keeping its solves owes them :func:`check_residual`."""
+    """One LU call over the batch, unchecked: ``op^-1 rhs``, ``SingularSylvesterError`` where
+    op is singular; defective m or n cost no accuracy. Its caller owes :func:`check_residual`."""
     try:
         return np.linalg.solve(op, rhs)
     except np.linalg.LinAlgError as exc:
@@ -156,13 +136,14 @@ def check_residual(m, n, x, c) -> None:
 def lyap_solve(m, c) -> np.ndarray:
     """Symmetric solution X of the Lyapunov equation ``m X + X m^T + c = 0``
     for square m and symmetric c, unique when no two eigenvalues of m sum
-    to zero (any Hurwitz m qualifies): one item of :func:`sylvester_solve`,
-    under the same residual rule."""
+    to zero (any Hurwitz m qualifies): one item of :func:`kron_solve`,
+    refused unless it passes :func:`check_residual`."""
     m = as_matrix(m, "m")
     c = check_symmetric(c, name="c")
     if c.shape != m.shape or m.shape[0] != m.shape[1]:
         raise ValueError(f"m must be square and match c: {m.shape} vs {c.shape}")
-    x = sylvester_solve(m, m, c)
+    x = kron_solve(kron_sum(m, m), -c.reshape(-1, 1)).reshape(m.shape)
+    check_residual(m, m, x, c)
     return 0.5 * (x + x.T)
 
 
@@ -203,8 +184,15 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
     if b.shape[0] != n:
         raise ValueError(f"b must have {n} rows, got {b.shape}")
     q0 = check_pd(q0, n, "q0")[0]
+    # P(s a, r b, s t q0, s gamma / (t r^2)) = t P(a, b, q0, gamma): solve at s, r, s t = 2^-e_a,
+    # 2^-e_b, 2^-e_q, which round max|a|, max|b| (a zero one keeps 1) and max|q0| to 1; ldexp
+    # applies each exactly and forms no factor that could over- or underflow
+    e_a, e_b, e_q = (int(np.round(np.log2(np.abs(y).max() or 1.0))) for y in (a, b, q0))
+    a, b, q0 = np.ldexp(a, -e_a), np.ldexp(b, -e_b), np.ldexp(q0, -e_q)
+    with np.errstate(over="ignore"):
+        gamma = float(np.ldexp(gamma, 2 * e_b + e_q - 2 * e_a))
     if not 0.0 < gamma < np.inf:  # NaN fails it too
-        raise ValueError("gamma must be positive and finite")
+        raise ValueError("gamma must be positive and finite, also at unit scale of a, b and q0")
 
     w, v = np.linalg.eig(np.block([[a, -gamma * (b @ b.T)], [-q0, -a.T]]))
     v = v[:, w.real < 0.0]
@@ -219,13 +207,9 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
     def ricc_residual(p):
         return float(np.linalg.norm(a.T @ p + p @ a - gamma * p @ b @ b.T @ p + q0, "fro"))
 
-    def ricc_scale(p):
-        return max(
-            1.0,
-            2.0 * float(np.linalg.norm(a, "fro")) * float(np.linalg.norm(p, "fro"))
-            + gamma * float(np.linalg.norm(p @ b, "fro")) ** 2
-            + float(np.linalg.norm(q0, "fro")),
-        )
+    def ricc_scale(p):  # at least ||q0||, about 1 with the data at unit scale
+        return (2.0 * np.linalg.norm(a, "fro") * np.linalg.norm(p, "fro")
+                + gamma * np.linalg.norm(p @ b, "fro") ** 2 + np.linalg.norm(q0, "fro"))
 
     for it in range(60):
         acl = a - b @ k
@@ -250,7 +234,7 @@ def are_solve(a, b, q0, gamma: float) -> np.ndarray:
             f"Riccati residual {residual:.3e} above {DEFAULT_TOL:g} * {scale:.3e}")
     if spectrum(a - gamma * (b @ b.T) @ p).spectral_abscissa >= 0.0:
         raise NotStabilizableError("Riccati solution is not stabilizing")
-    return 0.5 * (p + p.T)
+    return np.ldexp(0.5 * (p + p.T), e_q - e_a)
 
 
 def check_pd(s, order: int, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:

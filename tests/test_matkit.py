@@ -6,16 +6,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minellip import are_solve, design_gain, has_spanning_tree, lyap_solve, spectrum
+from minellip import are_solve, design_gain, has_spanning_tree, lyap_solve, matkit, spectrum
 from minellip.graph import LaplacianPair
 from minellip.matkit import (
     as_matrix,
     check_pd,
     check_residual,
     check_symmetric,
-    sylvester_solve,
+    kron_solve,
+    kron_sum,
 )
 from minellip.errors import (
+    NoConvergenceError,
     NotStabilizableError,
     NotSymmetricError,
     SingularSylvesterError,
@@ -177,7 +179,16 @@ def test_lyap_singular_pair_raises():
         lyap_solve(np.diag([1.0, -1.0]), np.eye(2))
 
 
-# --- sylvester_solve --------------------------------------------------
+# --- the Kronecker path: kron_sum -> kron_solve -> check_residual ------
+
+def kron_path(m, n, c):
+    """Solve m_k X_k + X_k n_k^T + c_k = 0 over a batch as the modal family does (m is
+    (..., a, a), n (..., b, b), c (..., a, b); leading axes broadcast), residual checked."""
+    m, n, c = (np.asarray(y, dtype=float) for y in (m, n, c))
+    x = kron_solve(kron_sum(m, n), -c.reshape(c.shape[:-2] + (-1, 1))).reshape(c.shape)
+    check_residual(m, n, x, c)
+    return x
+
 
 def test_sylvester_mixed_batch_matches_scipy():
     # Hurwitz, defective (Jordan block) and anti-stable items in one batch;
@@ -189,13 +200,13 @@ def test_sylvester_mixed_batch_matches_scipy():
     n = np.stack([random_hurwitz(rng, 2), np.array([[-2.0, 1.0], [0.0, -2.0]]),
                   -random_hurwitz(rng, 2), random_hurwitz(rng, 2)])
     c = rng.normal(size=(4, 3, 2))
-    x = sylvester_solve(m, n, c)
+    x = kron_path(m, n, c)
     assert x.shape == (4, 3, 2)
     for k in range(4):
         ref = scipy.linalg.solve_sylvester(m[k], n[k].T, -c[k])
         np.testing.assert_allclose(x[k], ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
     # a shared left operand broadcasts against a batch of right operands
-    np.testing.assert_allclose(sylvester_solve(m[0], n, c)[2],
+    np.testing.assert_allclose(kron_path(m[0], n, c)[2],
                                scipy.linalg.solve_sylvester(m[0], n[2].T, -c[2]), atol=1e-10)
 
 
@@ -205,11 +216,11 @@ def test_sylvester_batch_with_singular_item_raises():
     m = np.stack([random_hurwitz(rng, 2), np.diag([1.0, 2.0]), random_hurwitz(rng, 2)])
     n = np.stack([random_hurwitz(rng, 2), np.diag([-1.0, 3.0]), random_hurwitz(rng, 2)])
     with pytest.raises(SingularSylvesterError):
-        sylvester_solve(m, n, rng.normal(size=(3, 2, 2)))
+        kron_path(m, n, rng.normal(size=(3, 2, 2)))
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: sylvester_solve([[-1e-160]], [[-1e-160]], [[1e200]]),
+    lambda: kron_path([[-1e-160]], [[-1e-160]], [[1e200]]),
     lambda: lyap_solve([[-1e-160]], [[1e200]]),
     lambda: check_residual(-np.eye(2), -np.eye(2), np.full((2, 2), np.nan), np.eye(2)),
 ], ids=["sylvester-overflow", "lyap-overflow", "nan-solution"])
@@ -231,8 +242,7 @@ def test_residual_check_holds_at_any_scale():
         warnings.simplefilter("error")
         for scale in 10.0 ** np.arange(150, 301, 10):
             np.testing.assert_allclose(lyap_solve(m, scale * c), scale * x, rtol=1e-12)
-            np.testing.assert_allclose(sylvester_solve(scale * m, scale * m, scale * c), x,
-                                       rtol=1e-12)
+            np.testing.assert_allclose(lyap_solve(scale * m, scale * c), x, rtol=1e-12)
         x = lyap_solve(m, 1e200 * c)
         with pytest.raises(SingularSylvesterError, match=r"residual [0-9.]+e-0[67] above"):
             check_residual(m, m, x * (1.0 + 1e-6), 1e200 * c)
@@ -278,7 +288,7 @@ def test_residual_check_passes_exactly_zero_items():
     c[0, 1] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = sylvester_solve(m, n, c)
+        x = kron_path(m, n, c)
         assert not x[0, 1].any()
         x[1, 2] *= 1.4
         with pytest.raises(SingularSylvesterError):
@@ -366,6 +376,32 @@ def test_are_q0_at_any_scale(paper_plant):
             are_solve(paper_plant.A, paper_plant.B, bad, 1.0)
 
 
+def test_are_solve_has_no_absolute_scale(paper_plant):
+    # P(s a, r b, s t q0, s gamma / (t r^2)) = t P(a, b, q0, gamma). Time (a, q0 and gamma
+    # times s) leaves P as it is, q0 times t with gamma over t scales it by t, and b times r
+    # with gamma over r^2 leaves it. At 1e-200 in time the absolute residual floor passed a P
+    # 67 % off; from 1e200 the squares overflowed, and q0 at 1e+-250 lost the stable subspace
+    a, b, q0 = paper_plant.A, paper_plant.B, np.eye(2)
+    p = are_solve(a, b, q0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in 10.0 ** np.arange(-300, 301, 50):
+            np.testing.assert_allclose(are_solve(s * a, b, s * q0, s), p, rtol=4e-15)
+            np.testing.assert_allclose(are_solve(a, b, s * q0, 1.0 / s), s * p, rtol=4e-15)
+        for r in 10.0 ** np.arange(-150, 151, 50):
+            np.testing.assert_allclose(are_solve(a, r * b, q0, 1.0 / r / r), p, rtol=4e-15)
+
+
+def test_are_refuses_newton_steps_that_miss_the_equation(monkeypatch, paper_plant):
+    # every Lyapunov solve of the Newton steps is off by a relative 1e-6, so the polished P
+    # misses the Riccati equation by about as much, and NoConvergenceError refuses it
+    lyap = matkit.lyap_solve
+    monkeypatch.setattr(matkit, "lyap_solve", lambda m, c: (1.0 + 1e-6) * lyap(m, c))
+    for scale in (1.0, 1e12):
+        with pytest.raises(NoConvergenceError, match="Riccati residual"):
+            are_solve(paper_plant.A, paper_plant.B, scale * np.eye(2), 1.0)
+
+
 def test_are_not_stabilizable():
     with pytest.raises(NotStabilizableError):
         are_solve([[1.0]], [[0.0]], [[1.0]], 1.0)
@@ -402,7 +438,6 @@ def wilkinson(n):
     (lambda: check_symmetric(np.ones((2, 3))), NotSymmetricError, "not square"),
     (lambda: spectrum(np.ones((2, 3))), ValueError, "must be square"),
     (lambda: spectrum([[np.inf]]), ValueError, "non-finite"),
-    (lambda: sylvester_solve(np.eye(2), np.eye(2), np.ones((2, 3))), ValueError, "do not form"),
     (lambda: lyap_solve(np.eye(2), np.eye(3)), ValueError, "must be square and match c"),
     (lambda: are_solve(np.ones((2, 3)), np.ones((2, 1)), np.eye(2), 1.0), ValueError,
      "a must be square"),
@@ -412,15 +447,18 @@ def wilkinson(n):
      "gamma must be positive"),
     # an operator of condition 27 whose LU grows by 2^59: the solution misses
     # its own equation and the residual check refuses it
-    (lambda: sylvester_solve(wilkinson(60), np.zeros((1, 1)), np.arange(60.0)[:, None]),
+    (lambda: kron_path(wilkinson(60), np.zeros((1, 1)), np.arange(60.0)[:, None]),
      SingularSylvesterError, r"^Sylvester relative residual \d\.\d{3}e[-+]\d{2} above 1e-09$"),
     (lambda: are_solve(np.eye(2), np.ones((2, 1)), np.eye(2), np.nan), ValueError,
      "gamma must be positive and finite"),
     (lambda: are_solve(np.eye(2), np.ones((2, 1)), np.eye(2), np.inf), ValueError,
      "gamma must be positive and finite"),
+    # gamma / r^2 at b = 1e-200 b_unit underflows to 0: refused before any solve, with no warning
+    (lambda: are_solve(np.eye(2), np.full((2, 1), 1e-200), np.eye(2), 1e-300), ValueError,
+     "gamma must be positive and finite, also at unit scale"),
 ], ids=["as_matrix-1d", "as_matrix-nan", "check_symmetric-shape", "spectrum-shape",
-        "spectrum-inf", "sylvester-shapes", "lyap-shapes", "are-a", "are-b", "are-gamma",
-        "sylvester-residual", "are-gamma-nan", "are-gamma-inf"])
+        "spectrum-inf", "lyap-shapes", "are-a", "are-b", "are-gamma",
+        "sylvester-residual", "are-gamma-nan", "are-gamma-inf", "are-gamma-scaled"])
 def test_matkit_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
